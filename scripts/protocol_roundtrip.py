@@ -6,34 +6,10 @@ verifier process serves one challenge-response session per redemption
 attempt.  The second attempt must be refused as already redeemed.
 """
 import argparse
-import socket
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
-
-
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
-def _wait_for_listener(port: int, proc: subprocess.Popen, timeout=10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise RuntimeError(f"verifier exited early: {proc.returncode}")
-        probe = socket.socket()
-        try:
-            probe.bind(("127.0.0.1", port))
-        except OSError:
-            return
-        finally:
-            probe.close()
-        time.sleep(0.05)
-    raise RuntimeError("verifier never started listening")
 
 
 def main() -> int:
@@ -58,17 +34,22 @@ def main() -> int:
     print(f"issued serial {issue.stdout.strip()}")
 
     for attempt in (1, 2):
-        port = _free_port()
         verifier = subprocess.Popen(
-            py + ["cv-demo", "--listen", f"127.0.0.1:{port}",
-                  "--store", store, "--quiet", "--seed", str(args.seed + attempt)])
-        _wait_for_listener(port, verifier)
+            py + ["cv-demo", "--listen", "127.0.0.1:0",
+                  "--store", store, "--quiet", "--seed", str(args.seed + attempt)],
+            stdout=subprocess.PIPE, text=True)
+        # the verifier prints "listening HOST:PORT" once its socket is bound
+        ready = verifier.stdout.readline().split()
+        if ready[:1] != ["listening"]:
+            verifier.kill()
+            raise RuntimeError(f"verifier did not start: {verifier.wait()}")
+        port = ready[1].rpartition(":")[2]
         holder_args = py + ["cv-demo", "--connect", f"127.0.0.1:{port}",
                             "--token", token, "--seed", str(args.seed + 100)]
         if args.noise_fidelity is not None:
             holder_args += ["--noise-fidelity", str(args.noise_fidelity)]
         holder = subprocess.run(holder_args)
-        verifier.wait(timeout=30)
+        verifier.communicate(timeout=30)
         print(f"attempt {attempt}: holder exit {holder.returncode}, "
               f"verifier exit {verifier.returncode}")
     return 0

@@ -9,10 +9,9 @@ from .channels import (NoiseModel, QubitChannel, amplitude_damping,
                        average_fidelity, dephasing, depolarizing,
                        depolarizing_for_fidelity, identity_channel)
 from .core import LABELS, StateLabel
-from .attacks import (CV_ATTACKERS, DRIVERS, PAIR_STRATEGIES, PairCloneStrategy,
-                      PairOutcomeDist, counterfeit, intermediate_basis_answers,
-                      measure_reprepare_z, pair_outcome_distribution,
-                      sequential_attack, sequential_attack_rate,
+from .attacks import (CV_ATTACKERS, PAIR_STRATEGIES, PairCloneStrategy,
+                      PairOutcomeDist, counterfeit, measure_reprepare_z,
+                      pair_outcome_distribution, sequential_attack_rate,
                       universal_cloner)
 from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
                  CvVerifier, ScoreCard, cv_issue, double_spend_experiment,

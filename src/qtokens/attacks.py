@@ -1,11 +1,12 @@
-"""Counterfeiting strategies and multi-verifier attack experiments.
+"""Cloning strategies, sequential-attack rate laws and CV attackers.
 
 Pair-cloning strategies map one qubit to two (a CPTP map into two registers);
 the resulting counterfeits share a :class:`~qtokens.qticket.CorrelatedPair`
 so joint verification statistics come out of the actual post-cloning states.
-The sequential drivers stage a single holder against several verifiers who
-check the same serial but cannot coordinate; the figure of merit is how
-often at least two of them accept.
+The rate laws stage a single holder against several verifiers who check the
+same serial but cannot coordinate; the figure of merit is how often at least
+two of them accept.  The challenge-response attackers answer the paired
+tokens of :mod:`qtokens.cv` through one per-qubit outcome law each.
 """
 from __future__ import annotations
 
@@ -16,12 +17,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import BoundReport, learning_bound
-from .core import (I2, LABELS, PAULI_X, PAULI_Z, PROJECTOR_STACK, StateLabel,
-                   partial_trace, projector_of)
-from .cv import ChallengeQuestion, CvToken, honest_answer
-from .qticket import (CorrelatedPair, QticketSecret, TokenInstance,
-                      VerificationOutcome, VerifierPolicy, token_from_secret,
-                      verify)
+from .core import (I2, LABEL_INDEX, LABELS, PAULI_X, PAULI_Z, PROJECTOR_STACK,
+                   StateLabel)
+from .cv import (ChallengeQuestion, CvToken, honest_answer, measured_bit_zero,
+                 sample_bits)
+from .qticket import CorrelatedPair, TokenInstance
 from .rational import threshold_count
 
 
@@ -45,31 +45,17 @@ class PairOutcomeDist(NamedTuple):
 
 @dataclass(frozen=True)
 class PairCloneStrategy:
-    """One-qubit to two-qubit map given by a callable on density matrices.
-
-    ``map_stack`` optionally vectorizes the same map over an (N, 2, 2)
-    stack; without it apply_stack falls back to a per-state loop.
-    """
+    """One-qubit to two-qubit map, vectorized over an (N, 2, 2) stack of
+    density matrices."""
 
     name: str
-    map: Callable[[np.ndarray], np.ndarray]
-    map_stack: Callable[[np.ndarray], np.ndarray] | None = None
+    map_stack: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.map(np.asarray(rho, dtype=complex))
+        return self.apply_stack(np.asarray(rho)[None])[0]
 
     def apply_stack(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=complex)
-        if self.map_stack is not None:
-            return self.map_stack(states)
-        return np.stack([self.map(rho) for rho in states])
-
-
-def _universal_clone(rho: np.ndarray) -> np.ndarray:
-    rr = np.kron(rho, rho)
-    ri = np.kron(rho, I2)
-    ir = np.kron(I2, rho)
-    return rr / 3.0 + (ri + ir) / 6.0
+        return self.map_stack(np.asarray(states, dtype=complex))
 
 
 def _universal_clone_stack(states: np.ndarray) -> np.ndarray:
@@ -82,12 +68,6 @@ def _universal_clone_stack(states: np.ndarray) -> np.ndarray:
 
 _Z0 = np.diag([1.0, 0.0]).astype(complex)
 _Z1 = np.diag([0.0, 1.0]).astype(complex)
-
-
-def _measure_reprepare_z(rho: np.ndarray) -> np.ndarray:
-    p0 = float(rho[0, 0].real)
-    p1 = float(rho[1, 1].real)
-    return p0 * np.kron(_Z0, _Z0) + p1 * np.kron(_Z1, _Z1)
 
 
 def _measure_reprepare_z_stack(states: np.ndarray) -> np.ndarray:
@@ -104,26 +84,26 @@ def _intermediate_projector() -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _intermediate_reprepare(rho: np.ndarray) -> np.ndarray:
-    proj = _intermediate_projector()
-    orth = I2 - proj
-    p_plus = float(np.trace(proj @ rho).real)
-    return p_plus * np.kron(proj, proj) + (1.0 - p_plus) * np.kron(orth, orth)
+def intermediate_bit_zero(qubits: np.ndarray, codes=None) -> np.ndarray:
+    """P[+1 outcome] when each qubit of a (..., 2, 2) stack is measured in
+    the eigenbasis of (X + Z)/sqrt(2); the outcome is reported as bit 0
+    under either asked axis, so ``codes`` is ignored."""
+    return np.einsum("ij,...ji->...", _intermediate_projector(),
+                     np.asarray(qubits, dtype=complex)).real.clip(0.0, 1.0)
 
 
 def _intermediate_reprepare_stack(states: np.ndarray) -> np.ndarray:
     proj = _intermediate_projector()
     orth = I2 - proj
-    p_plus = np.einsum("ij,nji->n", proj, states).real[:, None, None]
+    p_plus = intermediate_bit_zero(states)[:, None, None]
     return p_plus * np.kron(proj, proj) + (1.0 - p_plus) * np.kron(orth, orth)
 
 
-UNIVERSAL_CLONER = PairCloneStrategy(
-    "universal-cloner", _universal_clone, _universal_clone_stack)
-MEASURE_REPREPARE_Z = PairCloneStrategy(
-    "measure-reprepare-z", _measure_reprepare_z, _measure_reprepare_z_stack)
-INTERMEDIATE_BASIS = PairCloneStrategy(
-    "intermediate-basis", _intermediate_reprepare, _intermediate_reprepare_stack)
+UNIVERSAL_CLONER = PairCloneStrategy("universal-cloner", _universal_clone_stack)
+MEASURE_REPREPARE_Z = PairCloneStrategy("measure-reprepare-z",
+                                        _measure_reprepare_z_stack)
+INTERMEDIATE_BASIS = PairCloneStrategy("intermediate-basis",
+                                       _intermediate_reprepare_stack)
 
 PAIR_STRATEGIES: dict[str, PairCloneStrategy] = {
     s.name: s for s in (UNIVERSAL_CLONER, MEASURE_REPREPARE_Z, INTERMEDIATE_BASIS)
@@ -141,27 +121,33 @@ def measure_reprepare_z() -> PairCloneStrategy:
     return MEASURE_REPREPARE_Z
 
 
+def _label_outcome_laws(strategy: PairCloneStrategy) -> np.ndarray:
+    """(6, 4) joint outcomes (p11, p10, p01, p00) per label when both halves
+    of a cloned label state are verified against that label."""
+    pass_fail = np.stack([PROJECTOR_STACK, I2 - PROJECTOR_STACK], axis=1)
+    # Tr[(M_s (x) M_t) rho] with rho[(A, B), (a, b)] reshaped to [A, B, a, b]
+    out = strategy.apply_stack(PROJECTOR_STACK).reshape(-1, 2, 2, 2, 2)
+    dists = np.einsum("lsaA,ltbB,lABab->lst", pass_fail, pass_fail,
+                      out).real.reshape(len(LABELS), 4)
+    if np.abs(dists.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ValueError(f"strategy {strategy.name} is not trace preserving")
+    return dists
+
+
 def pair_outcome_distribution(strategy: PairCloneStrategy,
                               label: StateLabel) -> PairOutcomeDist:
     """Exact four-way outcome distribution when both halves of a cloned
     qubit prepared in ``label`` are verified against that label."""
-    p = projector_of(label)
-    q = I2 - p
-    out = strategy(p)
-    vals = [float(np.trace(np.kron(a, b) @ out).real)
-            for a, b in ((p, p), (p, q), (q, p), (q, q))]
-    total = sum(vals)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"strategy {strategy.name} is not trace preserving")
-    return PairOutcomeDist(*vals)
+    dist = _label_outcome_laws(strategy)[LABEL_INDEX[label]]
+    return PairOutcomeDist(*(float(x) for x in dist))
 
 
 def mixture_outcome_distribution(strategy: PairCloneStrategy) -> PairOutcomeDist:
     """Label-averaged outcome distribution: labels are drawn uniformly and
     positions are independent, so per-position outcomes are iid with this
     mixture law even for label-sensitive strategies."""
-    dists = np.array([pair_outcome_distribution(strategy, lab) for lab in LABELS])
-    return PairOutcomeDist(*(float(x) for x in dists.mean(axis=0)))
+    dist = _label_outcome_laws(strategy).mean(axis=0)
+    return PairOutcomeDist(*(float(x) for x in dist))
 
 
 def counterfeit(token: TokenInstance, strategy: PairCloneStrategy,
@@ -203,121 +189,13 @@ def double_accept_mc(n_qubits: int, f_tol, dist: PairOutcomeDist, trials: int,
 
 
 # ---------------------------------------------------------------------------
-# Sequential multi-verifier attacks, object level.
+# Sequential multi-verifier attacks.
 #
 # A driver is handed the single genuine token once, then must produce one
 # submission per verification round, seeing only the boolean accept history.
-# Every submission is consumed by qticket.verify against the same secret.
-
-def _junk_token(serial: str, n_qubits: int, rng: np.random.Generator) -> TokenInstance:
-    labels = rng.integers(0, len(LABELS), size=n_qubits)
-    return TokenInstance(serial, PROJECTOR_STACK[labels].copy())
-
-
-@dataclass(eq=False)
-class CloneThenAdaptDriver:
-    """Clone once with the symmetric cloner, hand the halves to the first
-    two verifiers, then fall back to fresh six-state guesses."""
-
-    name: str = "clone-then-adapt"
-    _halves: list = field(default_factory=list, repr=False)
-    _serial: str = ""
-    _n: int = 0
-
-    def begin(self, token: TokenInstance, policy: VerifierPolicy,
-              rng: np.random.Generator) -> None:
-        self._serial, self._n = token.serial, token.n_qubits
-        self._halves = list(counterfeit(token, UNIVERSAL_CLONER, rng))
-
-    def submission(self, history: tuple[bool, ...],
-                   rng: np.random.Generator) -> TokenInstance:
-        if self._halves:
-            return self._halves.pop(0)
-        return _junk_token(self._serial, self._n, rng)
-
-
-@dataclass(eq=False)
-class ResubmitAfterRejectDriver:
-    """Measure the whole token in the Z basis, reprepare the outcomes, and
-    keep resubmitting the same preparation no matter the verdicts."""
-
-    name: str = "resubmit-after-reject"
-    _prep: np.ndarray | None = field(default=None, repr=False)
-    _serial: str = ""
-
-    def begin(self, token: TokenInstance, policy: VerifierPolicy,
-              rng: np.random.Generator) -> None:
-        if token.consumed or token.qubits is None:
-            raise ValueError("driver needs the fresh physical token")
-        token.consumed = True
-        p0 = np.clip(token.qubits[:, 0, 0].real, 0.0, 1.0)
-        ones = rng.random(token.n_qubits) >= p0
-        self._prep = PROJECTOR_STACK[np.where(ones, 1, 0)]
-        self._serial = token.serial
-
-    def submission(self, history: tuple[bool, ...],
-                   rng: np.random.Generator) -> TokenInstance:
-        return TokenInstance(self._serial, self._prep.copy())
-
-
-@dataclass(eq=False)
-class HonestOnceThenNoiseDriver:
-    """Spend the genuine token at the first verifier, then try uniformly
-    guessed substitutes at the rest."""
-
-    name: str = "honest-once-then-noise"
-    _token: TokenInstance | None = field(default=None, repr=False)
-    _serial: str = ""
-    _n: int = 0
-
-    def begin(self, token: TokenInstance, policy: VerifierPolicy,
-              rng: np.random.Generator) -> None:
-        self._token = token
-        self._serial, self._n = token.serial, token.n_qubits
-
-    def submission(self, history: tuple[bool, ...],
-                   rng: np.random.Generator) -> TokenInstance:
-        if self._token is not None:
-            genuine, self._token = self._token, None
-            return genuine
-        return _junk_token(self._serial, self._n, rng)
-
-
-DRIVERS: dict[str, Callable[[], object]] = {
-    "clone-then-adapt": CloneThenAdaptDriver,
-    "resubmit-after-reject": ResubmitAfterRejectDriver,
-    "honest-once-then-noise": HonestOnceThenNoiseDriver,
-}
-
-
-def sequential_attack(driver, secret: QticketSecret, v: int,
-                      policy: VerifierPolicy,
-                      rng: np.random.Generator) -> list[VerificationOutcome]:
-    """Run one holder against ``v`` sequential verifications of one serial.
-
-    The driver sees the boolean verdict history before each submission.
-    Returns the full transcript of outcomes.
-    """
-    if v < 1:
-        raise ValueError("need at least one verification")
-    drv = DRIVERS[driver]() if isinstance(driver, str) else driver
-    drv.begin(token_from_secret(secret), policy, rng)
-    history: list[bool] = []
-    transcript: list[VerificationOutcome] = []
-    for _ in range(v):
-        submission = drv.submission(tuple(history), rng)
-        outcome = verify(secret, submission, policy, rng)
-        transcript.append(outcome)
-        history.append(outcome.accepted)
-    return transcript
-
-
-# ---------------------------------------------------------------------------
-# Batched rate estimators for the same drivers.
-#
-# Per-position statistics are memoized from the actual strategy maps, then
-# sampled in bulk; each function returns a (trials, n_verifiers) boolean
-# matrix distributed exactly like the object-level transcripts.
+# Per-position statistics come from the actual strategy maps and are sampled
+# in bulk; each rate law returns a (trials, n_verifiers) boolean matrix of
+# verdicts.
 
 RateDriver = Callable[[int, int, int, int, np.random.Generator], np.ndarray]
 
@@ -336,8 +214,7 @@ def _guess_counts(n_qubits: int, shape: tuple[int, ...],
 
 def rate_clone_then_adapt(n_qubits: int, k_min: int, n_verifiers: int,
                           trials: int, rng: np.random.Generator) -> np.ndarray:
-    dists = np.array([pair_outcome_distribution(UNIVERSAL_CLONER, lab)
-                      for lab in LABELS])
+    dists = _label_outcome_laws(UNIVERSAL_CLONER)
     if np.ptp(dists, axis=0).max() > 1e-12:
         raise AssertionError("symmetric cloner statistics should not depend on the label")
     counts = rng.multinomial(n_qubits, dists[0], size=trials)
@@ -392,23 +269,19 @@ class AttackSummary:
 
 
 def sequential_attack_rate(n_qubits: int, f_tol, n_verifiers: int,
-                           driver: str | RateDriver, trials: int,
+                           driver: str, trials: int,
                            rng: np.random.Generator) -> AttackSummary:
-    """Estimate the double-acceptance rate of a sequential driver over many
+    """Estimate the double-acceptance rate of the named driver over many
     trials and compare with the pairwise union bound."""
     if n_verifiers < 2:
         raise ValueError("need at least two verifiers")
-    name = driver if isinstance(driver, str) else getattr(driver, "__name__", "custom")
-    fn = RATE_DRIVERS[driver] if isinstance(driver, str) else driver
     k_min = threshold_count(f_tol, n_qubits)
-    accepts = fn(n_qubits, k_min, n_verifiers, trials, rng)
-    if accepts.shape != (trials, n_verifiers):
-        raise ValueError("driver returned a matrix of the wrong shape")
+    accepts = RATE_DRIVERS[driver](n_qubits, k_min, n_verifiers, trials, rng)
     per_trial = accepts.sum(axis=1)
     hist = np.bincount(per_trial, minlength=n_verifiers + 1)
     double = int((per_trial >= 2).sum())
     return AttackSummary(
-        driver=name,
+        driver=driver,
         trials=trials,
         n_verifiers=n_verifiers,
         double_accepts=double,
@@ -419,33 +292,16 @@ def sequential_attack_rate(n_qubits: int, f_tol, n_verifiers: int,
 
 
 # ---------------------------------------------------------------------------
-# Challenge-response attackers.  Both implement prepare()/answer() and are
-# consumed by qtokens.cv.double_spend_experiment.
+# Challenge-response attackers.  Each has one per-qubit law ``bit_zero``:
+# qtokens.cv.double_spend_experiment tabulates it over the six label states,
+# and prepare()/answer() sample it on a token's qubits.  Both answer every
+# challenge after the first with their first sheet.
 
 def intermediate_basis_bits(qubits: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
     """Measure every qubit of a (..., 2, 2) stack in the intermediate basis
     once; +1 outcomes are reported as bit 0 under either axis."""
-    proj = _intermediate_projector()
-    p_plus = np.einsum("ij,...ji->...", proj, np.asarray(qubits, dtype=complex)).real
-    p_plus = np.clip(p_plus, 0.0, 1.0)
-    return (rng.random(p_plus.shape) >= p_plus).astype(np.uint8)
-
-
-def intermediate_basis_answers(pair_state: np.ndarray,
-                               rng: np.random.Generator
-                               ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Measure both qubits of one 4x4 pair state in the eigenbasis of
-    (X+Z)/sqrt(2) and derive the X-report and Z-report from the single
-    outcome per qubit (+1 eigenvalue -> bit 0 under either axis)."""
-    rho = np.asarray(pair_state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
-    singles = np.stack([partial_trace(rho, trace_out=1),
-                        partial_trace(rho, trace_out=0)])
-    bits = intermediate_basis_bits(singles, rng)
-    reports = (int(bits[0]), int(bits[1]))
-    return reports, reports
+    return sample_bits(intermediate_bit_zero(qubits), rng)
 
 
 @dataclass(eq=False)
@@ -455,6 +311,7 @@ class IntermediateBasisAttacker:
 
     name: str = "intermediate-basis"
     _bits: np.ndarray | None = field(default=None, repr=False)
+    bit_zero = staticmethod(intermediate_bit_zero)
 
     def prepare(self, token: CvToken, rng: np.random.Generator) -> None:
         if token.consumed:
@@ -478,6 +335,7 @@ class HonestCopyAttacker:
     name: str = "honest-copy"
     _token: CvToken | None = field(default=None, repr=False)
     _sheet: np.ndarray | None = field(default=None, repr=False)
+    bit_zero = staticmethod(measured_bit_zero)
 
     def prepare(self, token: CvToken, rng: np.random.Generator) -> None:
         self._token = token
@@ -495,5 +353,4 @@ class HonestCopyAttacker:
 CV_ATTACKERS: dict[str, Callable[[], object]] = {
     "intermediate-basis": IntermediateBasisAttacker,
     "honest-copy": HonestCopyAttacker,
-    "answer-reuse": HonestCopyAttacker,
 }

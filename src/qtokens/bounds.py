@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .rational import as_fraction
 
@@ -27,7 +27,14 @@ CV_THRESHOLD = (1.0 + 2.0 ** -0.5) / 2.0
 
 class InsecureParametersError(ValueError):
     """Raised when a tolerated fidelity sits at or below the regime where the
-    corresponding forgery bound is vacuous ("insecure-parameters")."""
+    corresponding forgery bound is vacuous ("insecure-parameters").
+
+    ``exponent`` is the bound formula's decay rate at the rejected F_tol.
+    """
+
+    def __init__(self, message: str, exponent: float):
+        super().__init__(message)
+        self.exponent = exponent
 
 
 def relative_entropy(p: float, q: float) -> float:
@@ -64,12 +71,6 @@ def chernoff_tail(n: int, gamma: float, delta: float) -> float:
     return math.exp(-n * relative_entropy(gamma, delta))
 
 
-def real_valued_chernoff_tail(n: int, gamma: float, delta: float) -> float:
-    """Tail bound 2 e^{-n D(gamma||delta)} valid for means of [0, 1]-valued
-    (not just boolean) independent variables."""
-    return 2.0 * chernoff_tail(n, gamma, delta)
-
-
 def _exp_neg(scale: int, rate: float) -> float:
     """e^{-scale * rate} with 0 * inf resolved to the vacuous value 1."""
     if scale == 0 or rate == 0.0:
@@ -99,14 +100,15 @@ class BoundReport:
     def clamped(self) -> float:
         return min(max(self.raw, 0.0), 1.0)
 
-    @property
-    def probability_bound(self) -> float:
-        """Alias for the raw formula value."""
-        return self.raw
 
+def _require_secure(f_tol: Any, threshold: Fraction | float, what: str,
+                    p_of: Callable[[Fraction], Fraction], q: Fraction | float) -> float:
+    """Validate f_tol strictly above the vacuous-regime threshold.
 
-def _require_secure(f_tol: Any, threshold: Fraction | float, what: str) -> float:
-    """Validate f_tol strictly above the vacuous-regime threshold."""
+    The error carries the exponent D(p_of(F_tol) || q), with p clamped into
+    [0, 1] in exact rational arithmetic so it is exactly 0.0 at a rational
+    threshold.
+    """
     if isinstance(f_tol, (Fraction, int, str)):
         frac = as_fraction(f_tol)
         bad = frac <= threshold if isinstance(threshold, Fraction) else float(frac) <= threshold
@@ -115,8 +117,10 @@ def _require_secure(f_tol: Any, threshold: Fraction | float, what: str) -> float
         value = float(f_tol)
         bad = value <= float(threshold)
     if bad:
+        p = min(max(p_of(as_fraction(f_tol)), Fraction(0)), Fraction(1))
         raise InsecureParametersError(
-            f"insecure-parameters: {what} requires F_tol > {float(threshold):.10g}, got {value:.10g}")
+            f"insecure-parameters: {what} requires F_tol > {float(threshold):.10g}, got {value:.10g}",
+            relative_entropy(float(p), float(q)))
     return value
 
 
@@ -139,7 +143,8 @@ def security_bound(n_qubits: int, f_tol: Any) -> BoundReport:
     counterfeits produced from a single token."""
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
-    f = _require_secure(f_tol, SINGLE_COPY_THRESHOLD, "single-copy security")
+    f = _require_secure(f_tol, SINGLE_COPY_THRESHOLD, "single-copy security",
+                        lambda x: 2 * x - 1, Fraction(2, 3))
     d = relative_entropy(2.0 * f - 1.0, 2.0 / 3.0)
     raw = _exp_neg(n_qubits, d)
     return BoundReport(raw, d, n_qubits, 1.0,
@@ -181,7 +186,8 @@ def cv_security_bound(n_blocks: int, r: int, f_tol: Any, v: int) -> BoundReport:
         raise ValueError("n_blocks and r must be non-negative")
     if v < 1:
         raise ValueError("v must be >= 1")
-    f = _require_secure(f_tol, CV_THRESHOLD, "paired-token security")
+    f = _require_secure(f_tol, CV_THRESHOLD, "paired-token security",
+                        lambda x: x, CV_THRESHOLD)
     d = relative_entropy(f, CV_THRESHOLD)
     pref = float(math.comb(v, 2)) ** 2
     raw = pref * (0.5 + _exp_neg(r, d)) ** n_blocks
@@ -218,7 +224,8 @@ def multicopy_security_bound(n_qubits: int, f_tol: Any, c: int) -> BoundReport:
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
     thr = multicopy_threshold(c)
-    f = _require_secure(f_tol, thr, f"{c}-copy security")
+    f = _require_secure(f_tol, thr, f"{c}-copy security",
+                        lambda x: (c + 1) * x - c, Fraction(c + 1, c + 2))
     d = relative_entropy((c + 1) * f - c, (c + 1) / (c + 2))
     raw = _exp_neg(n_qubits, d)
     return BoundReport(raw, d, n_qubits, 1.0,

@@ -23,7 +23,7 @@ from .bounds import (CV_THRESHOLD, SINGLE_COPY_THRESHOLD, BoundReport,
                      InsecureParametersError, cv_security_bound,
                      cv_soundness_bound, hoeffding_rejection, learning_bound,
                      multicopy_security_bound, multicopy_threshold,
-                     relative_entropy, security_bound, soundness_bound)
+                     security_bound, soundness_bound)
 from .channels import depolarizing_for_fidelity
 from .cv import (ChallengeQuestion, CvLayout, CvToken, CvVerifier,
                  QUESTION_POLICIES, apply_noise, cv_issue, honest_answer,
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=QUESTION_POLICIES, default="random")
     p.add_argument("--store", default=None, help="persist secrets here")
     p.add_argument("--listen", type=_hostport, default=None,
-                   help="serve one verification session on HOST:PORT")
+                   help="serve one verification session on HOST:PORT; prints "
+                        "'listening HOST:PORT' once bound (PORT 0 picks a free port)")
     p.add_argument("--connect", type=_hostport, default=None,
                    help="redeem a token file against HOST:PORT")
     p.add_argument("--token", default=None, help="token file for --connect")
@@ -283,32 +284,16 @@ def _sweep_from_args(args) -> int:
 
 # -- bounds ---------------------------------------------------------------
 
-def _bound_row(name: str, fn, *fn_args, exponent_fallback=None) -> dict:
+def _bound_row(name: str, fn, *fn_args) -> dict:
     """Evaluate one bound; vacuous-parameter regimes become a row, with the
     formula's exponent still reported."""
     try:
         report: BoundReport = fn(*fn_args)
-    except InsecureParametersError:
-        return {"name": name, "insecure": True,
-                "exponent": exponent_fallback if exponent_fallback is not None else 0.0}
+    except InsecureParametersError as exc:
+        return {"name": name, "insecure": True, "exponent": exc.exponent}
     return {"name": name, "insecure": False, "raw": report.raw,
             "clamped": report.clamped, "exponent": report.exponent,
             "prefactor": report.prefactor, "scale": report.scale}
-
-
-def _security_exponent(f_tol) -> float:
-    # exact rational algebra first so the exponent is 0.0 exactly at 5/6
-    p = min(max(2 * as_fraction(f_tol) - 1, Fraction(0)), Fraction(1))
-    return relative_entropy(float(p), float(Fraction(2, 3)))
-
-
-def _cv_security_exponent(f_tol) -> float:
-    return relative_entropy(min(max(float(f_tol), 0.0), 1.0), CV_THRESHOLD)
-
-
-def _multicopy_exponent(f_tol, c: int) -> float:
-    p = min(max((c + 1) * as_fraction(f_tol) - c, Fraction(0)), Fraction(1))
-    return relative_entropy(float(p), float(Fraction(c + 1, c + 2)))
 
 
 def cmd_bounds(args) -> int:
@@ -330,25 +315,21 @@ def cmd_bounds(args) -> int:
         if args.fexp is not None and args.fexp > f:
             rows.append(_bound_row("soundness", soundness_bound,
                                    args.N, args.fexp, args.ftol))
-        rows.append(_bound_row("security", security_bound, args.N, args.ftol,
-                               exponent_fallback=_security_exponent(args.ftol)))
-        rows.append(_bound_row("learning", learning_bound, args.N, args.ftol, args.v,
-                               exponent_fallback=_security_exponent(args.ftol)))
+        rows.append(_bound_row("security", security_bound, args.N, args.ftol))
+        rows.append(_bound_row("learning", learning_bound, args.N, args.ftol, args.v))
         if f < float(SINGLE_COPY_THRESHOLD):
             rows.append(_bound_row("hoeffding_rejection", hoeffding_rejection,
                                    args.N, args.ftol))
         if args.copies is not None:
             rows.append(_bound_row(
                 f"multicopy_security(c={args.copies})", multicopy_security_bound,
-                args.N, args.ftol, args.copies,
-                exponent_fallback=_multicopy_exponent(args.ftol, args.copies)))
+                args.N, args.ftol, args.copies))
     if args.n is not None:
         if args.fexp is not None and args.fexp > f:
             rows.append(_bound_row("cv_soundness", cv_soundness_bound,
                                    args.n, args.r, args.fexp, args.ftol))
         rows.append(_bound_row("cv_security", cv_security_bound,
-                               args.n, args.r, args.ftol, args.v,
-                               exponent_fallback=_cv_security_exponent(f)))
+                               args.n, args.r, args.ftol, args.v))
     if args.json:
         print(json.dumps({"thresholds": thresholds, "bounds": rows}, sort_keys=True))
         return EXIT_OK
@@ -441,8 +422,11 @@ def _demo_listen(args) -> int:
     rng = _seeded(args)
     store = SecretStore(args.store)
     verifier = CvVerifier(store, rng, question_policy=args.policy)
-    host, port = args.listen
-    with socket.create_server((host, port)) as server:
+    with socket.create_server(args.listen) as server:
+        # printed also under --quiet: clients wait for this line to learn
+        # the bound port instead of probing it
+        bound_host, bound_port = server.getsockname()[:2]
+        print(f"listening {bound_host}:{bound_port}", flush=True)
         conn, _ = server.accept()
         with wire.LineChannel(conn) as chan:
             final = verifier.serve_one(chan)

@@ -19,17 +19,10 @@ ATOL_TRACE = 1e-12
 ATOL_EIGENVALUE = 1e-10
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-SWAP = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex)
 
 
 class StateLabel(enum.Enum):
@@ -113,11 +106,6 @@ def partial_trace(m: np.ndarray, trace_out: int = 1) -> np.ndarray:
     return np.einsum("kikj->ij", t)
 
 
-def symmetric_projector() -> np.ndarray:
-    """Projector onto the symmetric subspace of two qubits (rank 3)."""
-    return (I4 + SWAP) / 2
-
-
 def is_hermitian(a: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
     a = np.asarray(a)
     return bool(np.max(np.abs(a - a.conj().T)) <= atol)
@@ -142,43 +130,3 @@ def check_density_matrix(m: np.ndarray, *, name: str = "state") -> np.ndarray:
     if eigs.min() < -ATOL_EIGENVALUE:
         raise ValueError(f"{name}: negative eigenvalue {eigs.min()}")
     return m
-
-
-def is_density_matrix(m: np.ndarray) -> bool:
-    try:
-        check_density_matrix(m)
-    except ValueError:
-        return False
-    return True
-
-
-def hermitian_opnorm(a: np.ndarray, *, atol: float = 1e-10) -> float:
-    """Operator norm (largest eigenvalue magnitude) of a Hermitian matrix."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    if not is_hermitian(a, max(atol, ATOL_HERMITIAN)):
-        raise ValueError("matrix is not Hermitian")
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-
-def born_probability(rho: np.ndarray, projector: np.ndarray) -> float:
-    """Tr[P rho], clipped into [0, 1] against float round-off."""
-    p = float(np.trace(projector @ rho).real)
-    return min(max(p, 0.0), 1.0)
-
-
-def measure_against(rho: np.ndarray, target: StateLabel, rng: np.random.Generator) -> int:
-    """Binary projective measurement of ``rho`` against the target state.
-
-    Returns 1 when the outcome matches the target eigenstate, 0 otherwise.
-    """
-    p = born_probability(rho, PROJECTOR_STACK[LABEL_INDEX[target]])
-    return int(rng.random() < p)
-
-
-def random_pure_state(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random pure state as a density matrix."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())

@@ -108,6 +108,42 @@ def _question_codes(question: ChallengeQuestion) -> np.ndarray:
     return np.array([AXES.index(a) for a in question.axes], dtype=np.uint8)
 
 
+# ---------------------------------------------------------------------------
+# Per-qubit outcome laws.  States are products and every measurement acts on
+# one qubit, so an answer is fixed by P[reported bit 0] per (label, asked
+# axis) and scoring by the per-block count of correct scored bits.
+
+def measured_bit_zero(qubits: np.ndarray, codes) -> np.ndarray:
+    """P[reported bit 0] when each qubit of a (..., 2, 2) stack is measured
+    along its asked axis code (0 = Z, 1 = X), broadcast over leading axes."""
+    return np.einsum("...ij,...ji->...", _PLUS_PROJECTORS[codes],
+                     qubits).real.clip(0.0, 1.0)
+
+
+def _bit_zero_table(law, states: np.ndarray = PROJECTOR_STACK) -> np.ndarray:
+    """(6, 2) table of P[reported bit 0] per preparation label and asked
+    axis, from a per-qubit ``law(qubits, codes)`` evaluated on the six label
+    states (or on their images under a channel)."""
+    return np.broadcast_to(law(states[:, None], np.arange(len(AXES))),
+                           (len(LABELS), len(AXES)))
+
+
+def sample_bits(p_zero: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Independent bits, each 0 with its probability in ``p_zero``."""
+    return (rng.random(p_zero.shape) >= p_zero).astype(np.uint8)
+
+
+def _scored(pairs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Mask of the pair members whose preparation axis the block asked."""
+    return _AXIS_CODE6[pairs] == codes[..., None, None]
+
+
+def _block_correct(pairs: np.ndarray, scored: np.ndarray,
+                   bits: np.ndarray) -> np.ndarray:
+    """Correct scored bits per block of (..., n, r, 2) label indices."""
+    return ((bits == _EIGENBIT6[pairs]) & scored).sum(axis=(-2, -1))
+
+
 def cv_issue(layout: CvLayout, rng: np.random.Generator,
              serial: str | None = None, *,
              pauli_frame: bool = False) -> tuple[CvSecret, CvToken]:
@@ -162,11 +198,8 @@ def honest_answer(token: CvToken, question: ChallengeQuestion,
         noise = NoiseModel.uniform(noise, n * r * 2)
     if noise is not None:
         qubits = noise.apply(qubits.reshape(-1, 2, 2)).reshape(qubits.shape)
-    proj = _PLUS_PROJECTORS[_question_codes(question)]           # (n, 2, 2)
-    p_zero = np.einsum("nij,nrpji->nrp", proj, qubits).real
-    p_zero = np.clip(p_zero, 0.0, 1.0)
-    bits = (rng.random(p_zero.shape) >= p_zero).astype(np.uint8)
-    return AnswerSheet(question.question_id, bits)
+    p_zero = measured_bit_zero(qubits, _question_codes(question)[:, None, None])
+    return AnswerSheet(question.question_id, sample_bits(p_zero, rng))
 
 
 def score_answer(secret: CvSecret, question: ChallengeQuestion,
@@ -188,13 +221,10 @@ def score_answer(secret: CvSecret, question: ChallengeQuestion,
         raise ValueError("outcomes must be bits")
     if len(question.axes) != n:
         raise ValueError("question does not match the layout")
-    codes = _question_codes(question)
-    axis_codes = _AXIS_CODE6[secret.pairs]
-    scored = axis_codes == codes[:, None, None]
+    scored = _scored(secret.pairs, _question_codes(question))
     if not (scored.sum(axis=2) == 1).all():
         raise ValueError("each pair must hold exactly one member on the asked axis")
-    correct = (outcomes == _EIGENBIT6[secret.pairs]) & scored
-    per_block = correct.sum(axis=(1, 2))
+    per_block = _block_correct(secret.pairs, scored, outcomes)
     k = layout.k_min
     return ScoreCard(tuple(int(c) for c in per_block), k, bool((per_block >= k).all()))
 
@@ -352,6 +382,30 @@ def verifier_session(secret: CvSecret, layout: CvLayout, policy: str,
 # ---------------------------------------------------------------------------
 # Batched experiments.
 
+#: Label positions drawn per chunk of trials; bounds the experiments'
+#: working memory independently of the layout.
+CHUNK_POSITIONS = 1 << 18
+
+
+def _trial_chunks(layout: CvLayout, trials: int):
+    step = max(1, CHUNK_POSITIONS // layout.n_qubits)
+    for done in range(0, trials, step):
+        yield min(step, trials - done)
+
+
+def _draw_rounds(layout: CvLayout, table: np.ndarray, b: int,
+                 rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``b`` issued tokens as (b, n, r, 2) label indices, one (b, n) question
+    of axis codes each, and one answer sheet per token whose bits follow
+    ``table`` at the asked axis."""
+    n, r = layout.n_blocks, layout.block_size
+    pairs = _PAIR_TABLE[rng.integers(0, len(_PAIR_TABLE), size=(b, n, r))]
+    codes = rng.integers(0, len(AXES), size=(b, n), dtype=np.uint8)
+    bits = sample_bits(table[pairs, codes[:, :, None, None]], rng)
+    return pairs, codes, bits
+
+
 @dataclass(frozen=True)
 class HonestRunReport:
     trials: int
@@ -360,38 +414,24 @@ class HonestRunReport:
     bound: BoundReport
 
 
-def _per_label_bit_zero(channel: QubitChannel) -> np.ndarray:
-    """(6, 2) table of P[reported bit = 0] for each preparation label under
-    each asked axis, from the actual post-channel states."""
-    noisy = channel.apply_to_stack(PROJECTOR_STACK)
-    return np.einsum("aij,lji->la", _PLUS_PROJECTORS, noisy).real.clip(0.0, 1.0)
-
-
 def honest_protocol_experiment(layout: CvLayout, channel: QubitChannel | None,
-                               trials: int, rng: np.random.Generator,
-                               batch: int = 512) -> HonestRunReport:
+                               trials: int, rng: np.random.Generator) -> HonestRunReport:
     """Many honest issue-challenge-answer-score rounds.
 
-    States stay products and measurements are independent across qubits, so
-    per-qubit outcome laws collapse to a (label, axis) table computed from
-    the actual channel; sampling then vectorizes across whole trials.
+    The honest measurement law evaluated on the actual post-channel label
+    states gives the (label, axis) outcome table; sampling then vectorizes
+    across whole trials.
     """
     chan = channel if channel is not None else identity_channel()
-    table = _per_label_bit_zero(chan)
-    n, r, k = layout.n_blocks, layout.block_size, layout.k_min
+    table = _bit_zero_table(measured_bit_zero, chan.apply_to_stack(PROJECTOR_STACK))
+    k = layout.k_min
     accepts = 0
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        pairs = _PAIR_TABLE[rng.integers(0, len(_PAIR_TABLE), size=(b, n, r))]
-        codes = rng.integers(0, 2, size=(b, n), dtype=np.uint8)
-        p_zero = table[pairs, codes[:, :, None, None]]
-        bits = (rng.random(p_zero.shape) >= p_zero).astype(np.uint8)
-        scored = _AXIS_CODE6[pairs] == codes[:, :, None, None]
-        per_block = ((bits == _EIGENBIT6[pairs]) & scored).sum(axis=(2, 3))
+    for b in _trial_chunks(layout, trials):
+        pairs, codes, bits = _draw_rounds(layout, table, b, rng)
+        per_block = _block_correct(pairs, _scored(pairs, codes), bits)
         accepts += int((per_block >= k).all(axis=1).sum())
-        done += b
-    bound = cv_soundness_bound(n, r, average_fidelity(chan), layout.f_tol)
+    bound = cv_soundness_bound(layout.n_blocks, layout.block_size,
+                               average_fidelity(chan), layout.f_tol)
     return HonestRunReport(trials, accepts, accepts / trials, bound)
 
 
@@ -430,6 +470,10 @@ def double_spend_experiment(layout: CvLayout, attacker, pairing: str,
     """One token, two verifiers.  The attacker preprocesses the token once,
     then must answer both challenges; success means both accept.
 
+    The attacker's per-qubit law (its ``bit_zero``) gives its answer sheet
+    to the first question; the shipped attackers replay that sheet for the
+    second, so both questions score the same bits.
+
     mean_pair_utility averages scored-position correctness over both
     verifiers; under complementary pairing the two questions jointly score
     each pair's X and Z member exactly once, so this is the per-pair
@@ -437,19 +481,18 @@ def double_spend_experiment(layout: CvLayout, attacker, pairing: str,
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing: {pairing}")
+    table = _bit_zero_table(attacker.bit_zero)
+    k = layout.k_min
     successes = 0
     scored_correct = 0
-    for _ in range(trials):
-        secret, token = cv_issue(layout, rng)
-        attacker.prepare(token, rng)
-        q1 = random_question(layout, rng)
-        q2 = (random_question(layout, rng) if pairing == "independent"
-              else complement_question(q1, rng))
-        card1 = score_answer(secret, q1, attacker.answer(q1, rng), layout)
-        card2 = score_answer(secret, q2, attacker.answer(q2, rng), layout)
-        scored_correct += sum(card1.per_block_correct) + sum(card2.per_block_correct)
-        if card1.accepted and card2.accepted:
-            successes += 1
+    for b in _trial_chunks(layout, trials):
+        pairs, q1, bits = _draw_rounds(layout, table, b, rng)
+        q2 = (rng.integers(0, len(AXES), size=q1.shape, dtype=np.uint8)
+              if pairing == "independent" else 1 - q1)
+        card1 = _block_correct(pairs, _scored(pairs, q1), bits)
+        card2 = _block_correct(pairs, _scored(pairs, q2), bits)
+        successes += int(((card1 >= k).all(axis=1) & (card2 >= k).all(axis=1)).sum())
+        scored_correct += int(card1.sum() + card2.sum())
     if pairing == "independent":
         try:
             bound = cv_security_bound(layout.n_blocks, layout.block_size,
@@ -458,8 +501,7 @@ def double_spend_experiment(layout: CvLayout, attacker, pairing: str,
             bound = 1.0
     else:
         bound = complementary_double_spend_bound(layout)
-    name = getattr(attacker, "name", type(attacker).__name__)
     scored_total = 2 * layout.n_blocks * layout.block_size * trials
-    return DoubleSpendReport(name, pairing, trials, successes,
+    return DoubleSpendReport(attacker.name, pairing, trials, successes,
                              successes / trials, bound,
                              scored_correct / scored_total)

@@ -1,18 +1,29 @@
 """Independent reference computations backing the test suite.
 
-Everything here is rebuilt from scratch: explicit ket vectors, literal
+The numeric oracles are rebuilt from scratch: explicit ket vectors, literal
 4x4 trace arithmetic, exhaustive rational enumeration, log-space binomial
-sums, and high-precision mpmath evaluation.  None of it imports from the
-package, so agreement is a genuine two-route check rather than a tautology.
+sums, and high-precision mpmath evaluation.  None of them uses the package,
+so agreement is a genuine two-route check rather than a tautology.
+
+The object-level references at the end run attacks one trial at a time
+through the package's per-object API (issue, counterfeit, verify, answer,
+score_answer), the route the batched estimators replace.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 import mpmath
 import numpy as np
+
+from qtokens.attacks import UNIVERSAL_CLONER, counterfeit
+from qtokens.core import LABELS, PROJECTOR_STACK
+from qtokens.cv import (complement_question, cv_issue, random_question,
+                        score_answer)
+from qtokens.qticket import TokenInstance, token_from_secret, verify
 
 mpmath.mp.dps = 60
 
@@ -40,6 +51,13 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def random_pure_state(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """Haar-random pure state as a density matrix."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def ket_projector(name: str) -> np.ndarray:
@@ -290,3 +308,124 @@ def chisq_stat(counts: np.ndarray, probs: np.ndarray) -> float:
     expected = probs * counts.sum()
     keep = expected > 0
     return float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+
+
+# ---------------------------------------------------------------------------
+# Object-level references for the batched attack experiments.
+#
+# A sequential driver is handed the single genuine token once, then must
+# produce one submission per verification round, seeing only the boolean
+# accept history.  Every submission is consumed by qticket.verify against the
+# same secret.
+
+def _junk_token(serial: str, n_qubits: int, rng: np.random.Generator) -> TokenInstance:
+    labels = rng.integers(0, len(LABELS), size=n_qubits)
+    return TokenInstance(serial, PROJECTOR_STACK[labels].copy())
+
+
+@dataclass(eq=False)
+class CloneThenAdaptDriver:
+    """Clone once with the symmetric cloner, hand the halves to the first
+    two verifiers, then fall back to fresh six-state guesses."""
+
+    name: str = "clone-then-adapt"
+    _halves: list = field(default_factory=list, repr=False)
+    _serial: str = ""
+    _n: int = 0
+
+    def begin(self, token, policy, rng) -> None:
+        self._serial, self._n = token.serial, token.n_qubits
+        self._halves = list(counterfeit(token, UNIVERSAL_CLONER, rng))
+
+    def submission(self, history, rng) -> TokenInstance:
+        if self._halves:
+            return self._halves.pop(0)
+        return _junk_token(self._serial, self._n, rng)
+
+
+@dataclass(eq=False)
+class ResubmitAfterRejectDriver:
+    """Measure the whole token in the Z basis, reprepare the outcomes, and
+    keep resubmitting the same preparation no matter the verdicts."""
+
+    name: str = "resubmit-after-reject"
+    _prep: np.ndarray | None = field(default=None, repr=False)
+    _serial: str = ""
+
+    def begin(self, token, policy, rng) -> None:
+        if token.consumed or token.qubits is None:
+            raise ValueError("driver needs the fresh physical token")
+        token.consumed = True
+        p0 = np.clip(token.qubits[:, 0, 0].real, 0.0, 1.0)
+        ones = rng.random(token.n_qubits) >= p0
+        self._prep = PROJECTOR_STACK[np.where(ones, 1, 0)]
+        self._serial = token.serial
+
+    def submission(self, history, rng) -> TokenInstance:
+        return TokenInstance(self._serial, self._prep.copy())
+
+
+@dataclass(eq=False)
+class HonestOnceThenNoiseDriver:
+    """Spend the genuine token at the first verifier, then try uniformly
+    guessed substitutes at the rest."""
+
+    name: str = "honest-once-then-noise"
+    _token: TokenInstance | None = field(default=None, repr=False)
+    _serial: str = ""
+    _n: int = 0
+
+    def begin(self, token, policy, rng) -> None:
+        self._token = token
+        self._serial, self._n = token.serial, token.n_qubits
+
+    def submission(self, history, rng) -> TokenInstance:
+        if self._token is not None:
+            genuine, self._token = self._token, None
+            return genuine
+        return _junk_token(self._serial, self._n, rng)
+
+
+DRIVERS = {
+    "clone-then-adapt": CloneThenAdaptDriver,
+    "resubmit-after-reject": ResubmitAfterRejectDriver,
+    "honest-once-then-noise": HonestOnceThenNoiseDriver,
+}
+
+
+def sequential_attack(driver: str, secret, v: int, policy, rng) -> list:
+    """Run one holder against ``v`` sequential verifications of one serial
+    and return the full transcript of outcomes."""
+    if v < 1:
+        raise ValueError("need at least one verification")
+    drv = DRIVERS[driver]()
+    drv.begin(token_from_secret(secret), policy, rng)
+    history: list[bool] = []
+    transcript = []
+    for _ in range(v):
+        outcome = verify(secret, drv.submission(tuple(history), rng), policy, rng)
+        transcript.append(outcome)
+        history.append(outcome.accepted)
+    return transcript
+
+
+def double_spend_reference(layout, attacker, pairing: str, trials: int,
+                           rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Per-trial cv_issue -> prepare -> answer -> score_answer loop against
+    two verifiers.  Returns the number of trials both accepted and each
+    trial's fraction of correct scored bits over both verifiers."""
+    successes = 0
+    utilities = np.empty(trials)
+    scored = 2 * layout.n_blocks * layout.block_size
+    for t in range(trials):
+        secret, token = cv_issue(layout, rng)
+        attacker.prepare(token, rng)
+        q1 = random_question(layout, rng)
+        q2 = (random_question(layout, rng) if pairing == "independent"
+              else complement_question(q1, rng))
+        card1 = score_answer(secret, q1, attacker.answer(q1, rng), layout)
+        card2 = score_answer(secret, q2, attacker.answer(q2, rng), layout)
+        successes += card1.accepted and card2.accepted
+        utilities[t] = (sum(card1.per_block_correct)
+                        + sum(card2.per_block_correct)) / scored
+    return successes, utilities

@@ -11,8 +11,7 @@ from qtokens.bounds import (CV_THRESHOLD, SINGLE_COPY_THRESHOLD,
                             cv_security_bound, cv_soundness_bound,
                             hoeffding_rejection, learning_bound,
                             multicopy_security_bound, multicopy_threshold,
-                            real_valued_chernoff_tail, relative_entropy,
-                            security_bound, soundness_bound)
+                            relative_entropy, security_bound, soundness_bound)
 
 import oracles as O
 
@@ -57,8 +56,6 @@ def test_pinsker_inequality(p, q):
 def test_chernoff_tail_edge_values():
     assert chernoff_tail(5, 0.4, 0.4) == 1.0
     assert abs(chernoff_tail(10, 1.0, 0.5) - 2.0 ** -10) < 1e-15
-    assert real_valued_chernoff_tail(5, 0.4, 0.4) == 2.0
-    assert abs(real_valued_chernoff_tail(1, 1.0, 0.5) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         chernoff_tail(5, 0.3, 0.4)
     with pytest.raises(ValueError):
@@ -129,6 +126,16 @@ def test_security_threshold_exactness():
         with pytest.raises(InsecureParametersError, match="insecure-parameters"):
             security_bound(100, bad)
     security_bound(100, Fraction(5, 6) + Fraction(1, 10 ** 9))
+    # the error carries the formula's exponent, exactly 0 at the threshold
+    # and with 2 F_tol - 1 clamped into [0, 1] below it
+    for f_tol, want in ((Fraction(5, 6), 0.0),
+                        (Fraction(4, 5), relative_entropy(0.6, 2 / 3)),
+                        (Fraction(1, 3), relative_entropy(0.0, 2 / 3))):
+        for bound in (lambda: security_bound(100, f_tol),
+                      lambda: learning_bound(100, f_tol, 3)):
+            with pytest.raises(InsecureParametersError) as info:
+                bound()
+            assert info.value.exponent == want
 
 
 def test_learning_bound_prefactor():
@@ -148,7 +155,6 @@ def test_learning_bound_clamps_via_report():
     rep = learning_bound(10, Fraction(839, 1000), 40)
     assert rep.raw > 1.0
     assert rep.clamped == 1.0
-    assert rep.probability_bound == rep.raw
 
 
 # -- paired-token bounds ----------------------------------------------------
@@ -181,8 +187,9 @@ def test_cv_security_value_and_routes():
 def test_cv_security_threshold_exactness():
     with pytest.raises(InsecureParametersError, match="insecure-parameters"):
         cv_security_bound(10, 50, CV_THRESHOLD, 2)
-    with pytest.raises(InsecureParametersError):
+    with pytest.raises(InsecureParametersError) as info:
         cv_security_bound(10, 50, 0.8, 2)
+    assert info.value.exponent == relative_entropy(0.8, CV_THRESHOLD)
     cv_security_bound(10, 50, CV_THRESHOLD + 1e-12, 2)
 
 
@@ -234,8 +241,9 @@ def test_multicopy_security_reduces_to_single_copy():
 
 
 def test_multicopy_security_threshold():
-    with pytest.raises(InsecureParametersError):
+    with pytest.raises(InsecureParametersError) as info:
         multicopy_security_bound(100, Fraction(11, 12), 2)
+    assert info.value.exponent == 0.0
     rep = multicopy_security_bound(500, Fraction(19, 20), 2)
     want = math.exp(-500 * relative_entropy(3 * 0.95 - 2, 3.0 / 4.0))
     assert abs(rep.raw - want) < 1e-15

@@ -1,8 +1,9 @@
 """Command line surface: exit codes, sweep determinism, bound tables, demos."""
 import json
+import os
 import socket
-import threading
-import time
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -356,18 +357,19 @@ def test_demo_connect_dead_port_is_protocol_failure(tmp_path, capsys):
     assert rc == cli.EXIT_PROTOCOL
 
 
-def _wait_for_listener(port, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        probe = socket.socket()
-        try:
-            probe.bind(("127.0.0.1", port))
-        except OSError:
-            return  # the demo server holds the port
-        finally:
-            probe.close()
-        time.sleep(0.02)
-    raise RuntimeError(f"no listener appeared on port {port}")
+def _start_listener(store: str, seed: int) -> tuple[subprocess.Popen, int]:
+    """Serve one session from ``cv-demo --listen 127.0.0.1:0`` in a child
+    process; returns it with the port named by its ready line."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtokens", "cv-demo", "--listen", "127.0.0.1:0",
+         "--store", store, "--quiet", "--seed", str(seed)],
+        stdout=subprocess.PIPE, text=True, env=env)
+    ready = proc.stdout.readline().split()
+    assert ready[:1] == ["listening"], ready
+    return proc, int(ready[1].rpartition(":")[2])
 
 
 def test_demo_round_trip_over_tcp(tmp_path, capsys):
@@ -377,23 +379,12 @@ def test_demo_round_trip_over_tcp(tmp_path, capsys):
                      "--ftol", "3/4", "--store", store, "--out", token,
                      "--seed", "11"]) == 0
     serial = capsys.readouterr().out.strip()
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-
-    listen_rc = []
-    server = threading.Thread(
-        target=lambda: listen_rc.append(cli.main(
-            ["cv-demo", "--listen", f"127.0.0.1:{port}", "--store", store,
-             "--quiet", "--seed", "12"])),
-        daemon=True)
-    server.start()
-    _wait_for_listener(port)
+    server, port = _start_listener(store, 12)
     rc = cli.main(["cv-demo", "--connect", f"127.0.0.1:{port}",
                    "--token", token, "--quiet", "--seed", "13"])
-    server.join(timeout=30)
+    out, _ = server.communicate(timeout=30)
     assert rc == 0
-    assert listen_rc == [0]
+    assert server.returncode == 0 and out == ""
     assert SecretStore(store).get(serial)["accepted_count"] == 1
 
 
@@ -405,20 +396,12 @@ def test_demo_second_redemption_rejected_over_tcp(tmp_path, capsys):
                      "--seed", "21"]) == 0
     capsys.readouterr()
     for attempt, expect in ((1, cli.EXIT_OK), (2, cli.EXIT_PROTOCOL)):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        server = threading.Thread(
-            target=lambda: cli.main(
-                ["cv-demo", "--listen", f"127.0.0.1:{port}", "--store", store,
-                 "--quiet", "--seed", str(30 + attempt)]),
-            daemon=True)
-        server.start()
-        _wait_for_listener(port)
+        server, port = _start_listener(store, 30 + attempt)
         rc = cli.main(["cv-demo", "--connect", f"127.0.0.1:{port}",
                        "--token", token, "--seed", "40"])
-        server.join(timeout=30)
+        server.communicate(timeout=30)
         assert rc == expect
+        assert server.returncode == expect
     assert "already-redeemed" in capsys.readouterr().out
 
 

@@ -494,6 +494,25 @@ def test_intermediate_basis_complementary_utility_ceiling(rng):
     assert report.rate <= report.bound
 
 
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("attacker", [IntermediateBasisAttacker, HonestCopyAttacker])
+def test_double_spend_matches_object_level_reference(attacker, pairing, rng):
+    # the batched core against the per-trial issue/answer/score loop, at a
+    # loose threshold where both attackers double-spend visibly
+    layout = CvLayout(2, 8, Fraction(3, 4))
+    ref_trials, batch_trials = 2000, 20_000
+    ref_hits, utilities = O.double_spend_reference(layout, attacker(), pairing,
+                                                   ref_trials, rng)
+    report = double_spend_experiment(layout, attacker(), pairing, batch_trials, rng)
+    scale = math.sqrt(1.0 / ref_trials + 1.0 / batch_trials)
+    p = (ref_hits + report.successes) / (ref_trials + batch_trials)
+    assert 0.0 < p < 1.0
+    assert abs(ref_hits / ref_trials - report.rate) \
+        < 4.0 * math.sqrt(p * (1.0 - p)) * scale
+    assert abs(utilities.mean() - report.mean_pair_utility) \
+        < 4.0 * utilities.std() * scale
+
+
 def test_complementary_bound_vacuous_below_game_value():
     assert complementary_double_spend_bound(CvLayout(4, 16, Fraction(3, 4))) == 1.0
     tight = complementary_double_spend_bound(CvLayout(20, 200, Fraction(23, 25)))
