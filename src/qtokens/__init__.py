@@ -5,14 +5,13 @@ from .bounds import (BoundReport, InsecureParametersError, chernoff_tail,
                      hoeffding_rejection, learning_bound,
                      multicopy_security_bound, multicopy_threshold,
                      relative_entropy, security_bound, soundness_bound)
-from .channels import (NoiseModel, QubitChannel, amplitude_damping,
-                       average_fidelity, dephasing, depolarizing,
-                       depolarizing_for_fidelity, identity_channel)
+from .channels import (QubitChannel, amplitude_damping, average_fidelity,
+                       dephasing, depolarizing, depolarizing_for_fidelity,
+                       identity_channel)
 from .core import LABELS, StateLabel
 from .attacks import (CV_ATTACKERS, PAIR_STRATEGIES, PairCloneStrategy,
-                      PairOutcomeDist, counterfeit, measure_reprepare_z,
-                      pair_outcome_distribution, sequential_attack_rate,
-                      universal_cloner)
+                      PairOutcomeDist, counterfeit, pair_outcome_distribution,
+                      sequential_attack_rate)
 from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
                  CvVerifier, ScoreCard, cv_issue, double_spend_experiment,
                  honest_answer, honest_protocol_experiment, run_holder,

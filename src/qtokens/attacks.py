@@ -21,7 +21,7 @@ from .core import (I2, LABEL_INDEX, LABELS, PAULI_X, PAULI_Z, PROJECTOR_STACK,
                    StateLabel)
 from .cv import (ChallengeQuestion, CvToken, honest_answer, measured_bit_zero,
                  sample_bits)
-from .qticket import CorrelatedPair, TokenInstance
+from .qticket import CorrelatedPair, TokenInstance, joint_outcome_laws
 from .rational import threshold_count
 
 
@@ -59,6 +59,8 @@ class PairCloneStrategy:
 
 
 def _universal_clone_stack(states: np.ndarray) -> np.ndarray:
+    """Symmetric one-to-two cloning map
+    rho -> rho (x) rho / 3 + (rho (x) 1 + 1 (x) rho) / 6."""
     eye = np.broadcast_to(I2, states.shape)
     rr = np.einsum("nab,ncd->nacbd", states, states).reshape(-1, 4, 4)
     ri = np.einsum("nab,ncd->nacbd", states, eye).reshape(-1, 4, 4)
@@ -71,6 +73,7 @@ _Z1 = np.diag([0.0, 1.0]).astype(complex)
 
 
 def _measure_reprepare_z_stack(states: np.ndarray) -> np.ndarray:
+    """Measure in the Z basis and emit two copies of the outcome projector."""
     p0 = states[:, 0, 0].real[:, None, None]
     p1 = states[:, 1, 1].real[:, None, None]
     return p0 * np.kron(_Z0, _Z0) + p1 * np.kron(_Z1, _Z1)
@@ -110,28 +113,10 @@ PAIR_STRATEGIES: dict[str, PairCloneStrategy] = {
 }
 
 
-def universal_cloner() -> PairCloneStrategy:
-    """Symmetric one-to-two cloning map
-    rho -> rho (x) rho / 3 + (rho (x) 1 + 1 (x) rho) / 6."""
-    return UNIVERSAL_CLONER
-
-
-def measure_reprepare_z() -> PairCloneStrategy:
-    """Measure in the Z basis and emit two copies of the outcome projector."""
-    return MEASURE_REPREPARE_Z
-
-
 def _label_outcome_laws(strategy: PairCloneStrategy) -> np.ndarray:
     """(6, 4) joint outcomes (p11, p10, p01, p00) per label when both halves
     of a cloned label state are verified against that label."""
-    pass_fail = np.stack([PROJECTOR_STACK, I2 - PROJECTOR_STACK], axis=1)
-    # Tr[(M_s (x) M_t) rho] with rho[(A, B), (a, b)] reshaped to [A, B, a, b]
-    out = strategy.apply_stack(PROJECTOR_STACK).reshape(-1, 2, 2, 2, 2)
-    dists = np.einsum("lsaA,ltbB,lABab->lst", pass_fail, pass_fail,
-                      out).real.reshape(len(LABELS), 4)
-    if np.abs(dists.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError(f"strategy {strategy.name} is not trace preserving")
-    return dists
+    return joint_outcome_laws(PROJECTOR_STACK, strategy.apply_stack(PROJECTOR_STACK))
 
 
 def pair_outcome_distribution(strategy: PairCloneStrategy,

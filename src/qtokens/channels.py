@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import I2, PAULIS, PROJECTOR_STACK, check_density_matrix
+from .core import I2, PAULIS, PROJECTOR_STACK
 
 ATOL_COMPLETENESS = 1e-10
 
@@ -33,20 +33,15 @@ class QubitChannel:
         object.__setattr__(self, "_stack", stack)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (2, 2):
+            raise ValueError(f"{self.name} expects a 2x2 state, got {rho.shape}")
+        return self.apply_to_stack(rho[None])[0]
 
     def apply_to_stack(self, states: np.ndarray) -> np.ndarray:
         """Apply to an (N, 2, 2) stack of states in one shot."""
         k = self._stack
         return np.einsum("kab,nbc,kdc->nad", k, states, k.conj())
-
-
-def apply_channel(channel: QubitChannel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"apply_channel expects a 2x2 state, got {rho.shape}")
-    k = channel._stack
-    return np.einsum("kab,bc,kdc->ad", k, rho, k.conj())
 
 
 def identity_channel() -> QubitChannel:
@@ -101,36 +96,3 @@ def average_fidelity(channel: QubitChannel) -> float:
     """Mean of Tr[rho M(rho)] over the six-state set."""
     out = channel.apply_to_stack(PROJECTOR_STACK)
     return float(np.einsum("nij,nji->n", PROJECTOR_STACK, out).real.mean())
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseModel:
-    """Per-position channel assignment for a many-qubit token."""
-
-    channels: tuple[QubitChannel, ...]
-
-    @classmethod
-    def uniform(cls, channel: QubitChannel, n: int) -> "NoiseModel":
-        return cls((channel,) * n)
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    @property
-    def homogeneous(self) -> bool:
-        first = self.channels[0]
-        return all(c is first for c in self.channels)
-
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """Degrade an (N, 2, 2) stack; validates output states."""
-        states = np.asarray(states, dtype=complex)
-        if states.shape != (len(self.channels), 2, 2):
-            raise ValueError(
-                f"noise model covers {len(self.channels)} qubits, got stack {states.shape}")
-        if self.homogeneous:
-            out = self.channels[0].apply_to_stack(states)
-        else:
-            out = np.stack([apply_channel(c, s) for c, s in zip(self.channels, states)])
-        # spot-check the first output rather than all N (cost control)
-        check_density_matrix(out[0], name="degraded qubit")
-        return out

@@ -44,11 +44,6 @@ class StateLabel(enum.Enum):
         """Reported bit for the state itself: '+' -> 0, '-' -> 1."""
         return 0 if self.value[1] == "+" else 1
 
-    @property
-    def orthogonal(self) -> "StateLabel":
-        sign = "-" if self.value[1] == "+" else "+"
-        return StateLabel(self.axis + sign)
-
     def __str__(self) -> str:  # JSON-facing spelling
         return self.value
 

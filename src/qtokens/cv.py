@@ -20,12 +20,13 @@ import numpy as np
 
 from .bounds import (BoundReport, InsecureParametersError, cv_security_bound,
                      cv_soundness_bound)
-from .channels import NoiseModel, QubitChannel, average_fidelity, identity_channel
-from .core import CV_PAIR_LABELS, LABEL_INDEX, LABELS, PROJECTOR_STACK, StateLabel
+from .channels import QubitChannel, average_fidelity, identity_channel
+from .core import (CV_PAIR_LABELS, LABEL_INDEX, LABELS, PROJECTOR_STACK,
+                   StateLabel, check_density_matrix)
 from .games import build_cv_pair_games, selective_value, threshold_game_bound
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
-from .store import SecretStore, UnknownSerialError
+from .store import SecretStore, UnknownSerialError, labels_from_strings
 from . import wire
 
 AXES = ("Z", "X")
@@ -167,8 +168,10 @@ def cv_issue(layout: CvLayout, rng: np.random.Generator,
 
 def apply_noise(token: CvToken, channel: QubitChannel) -> CvToken:
     n, r = token.shape
-    flat = token.qubits.reshape(-1, 2, 2)
-    return CvToken(token.serial, channel.apply_to_stack(flat).reshape(n, r, 2, 2, 2))
+    flat = channel.apply_to_stack(token.qubits.reshape(-1, 2, 2))
+    # spot-check the first output rather than all of them (cost control)
+    check_density_matrix(flat[0], name="degraded qubit")
+    return CvToken(token.serial, flat.reshape(n, r, 2, 2, 2))
 
 
 def random_question(layout: CvLayout, rng: np.random.Generator) -> ChallengeQuestion:
@@ -183,21 +186,17 @@ def complement_question(question: ChallengeQuestion,
 
 
 def honest_answer(token: CvToken, question: ChallengeQuestion,
-                  noise: NoiseModel | QubitChannel | None,
+                  noise: QubitChannel | None,
                   rng: np.random.Generator) -> AnswerSheet:
     """Measure both members of every pair along the block's asked axis,
-    optionally degrading each qubit through its channel first."""
-    n, r = token.shape
+    optionally degrading every qubit through the ``noise`` channel first."""
+    n = token.shape[0]
     if len(question.axes) != n:
         raise ValueError(f"question covers {len(question.axes)} blocks, token has {n}")
     if token.consumed:
         raise ValueError("token already consumed")
     token.consumed = True
-    qubits = token.qubits
-    if isinstance(noise, QubitChannel):
-        noise = NoiseModel.uniform(noise, n * r * 2)
-    if noise is not None:
-        qubits = noise.apply(qubits.reshape(-1, 2, 2)).reshape(qubits.shape)
+    qubits = token.qubits if noise is None else apply_noise(token, noise).qubits
     p_zero = measured_bit_zero(qubits, _question_codes(question)[:, None, None])
     return AnswerSheet(question.question_id, sample_bits(p_zero, rng))
 
@@ -236,9 +235,8 @@ def register(store: SecretStore, layout: CvLayout, secret: CvSecret) -> None:
 
 def _secret_from_record(rec: dict) -> tuple[CvLayout, CvSecret]:
     layout = CvLayout(int(rec["n"]), int(rec["r"]), Fraction(rec["f_tol"]))
-    idx = np.array([[LABEL_INDEX[StateLabel(a)], LABEL_INDEX[StateLabel(b)]]
-                    for a, b in rec["pairs"]], dtype=np.uint8)
-    pairs = idx.reshape(layout.n_blocks, layout.block_size, 2)
+    pairs = labels_from_strings([s for pair in rec["pairs"] for s in pair])
+    pairs = pairs.reshape(layout.n_blocks, layout.block_size, 2)
     return layout, CvSecret(rec["serial"], pairs)
 
 
@@ -292,13 +290,11 @@ class CvVerifier:
         if "pairs" not in rec:
             return self._abort(chan, "protocol-error",
                                f"serial {serial} is not a paired-block token")
-        if rec["accepted_count"] >= 1:
-            return self._abort(chan, "already-redeemed", serial)
-        if rec["attempts"] >= self.max_attempts:
-            return self._abort(chan, "attempt-budget-exceeded", serial)
+        refusal = self.store.begin_attempt(serial, self.max_attempts)
+        if refusal is not None:
+            return self._abort(chan, refusal, serial)
         layout, secret = _secret_from_record(rec)
         question = self._pick_question(layout, serial)
-        self.store.record_attempt(serial, False)
         chan.send(wire.challenge_message(question.question_id, question.axes))
 
         try:
@@ -337,7 +333,7 @@ class CvVerifier:
 
 def run_holder(chan: wire.LineChannel, token: CvToken,
                rng: np.random.Generator,
-               noise: NoiseModel | QubitChannel | None = None) -> dict:
+               noise: QubitChannel | None = None) -> dict:
     """Honest holder: measure per the challenge and report the bits.
     Returns the verifier's final message (verdict or error)."""
     chan.send(wire.hello_message(token.serial))

@@ -21,7 +21,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import relative_entropy
+from .bounds import chernoff_tail
 from .core import (CV_PAIR_LABELS, I2, PROJECTOR_STACK, LABEL_INDEX,
                    check_density_matrix, partial_trace, tensor)
 
@@ -197,10 +197,7 @@ def threshold_game_bound(block_values: Sequence[float], gamma: float) -> float:
     n = len(block_values)
     if n < 1:
         raise ValueError("need at least one block value")
-    delta = float(np.mean(block_values))
-    if not 0.0 <= delta <= gamma <= 1.0:
-        raise ValueError(f"need delta <= gamma <= 1, got gamma={gamma}, delta={delta}")
-    return 2.0 * math.exp(-n * relative_entropy(gamma, delta))
+    return 2.0 * chernoff_tail(n, gamma, float(np.mean(block_values)))
 
 
 # ---------------------------------------------------------------------------

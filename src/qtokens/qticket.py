@@ -9,19 +9,20 @@ exact rationals; see :mod:`qtokens.rational`.
 Counterfeit tokens created by pair-cloning strategies come in correlated
 twos: the per-position four-outcome joint measurement is sampled once (at
 first verification) and the marginals handed to the two instances, so joint
-verification statistics are exact.
+verification statistics are exact.  :func:`joint_outcome_laws` is the one
+place that four-way law is computed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .channels import NoiseModel
-from .core import I2, PROJECTOR_STACK, LABELS
+from .channels import QubitChannel
+from .core import I2, PROJECTOR_STACK, LABELS, check_density_matrix
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
 from .store import SecretStore, UnknownSerialError, labels_from_strings
@@ -41,12 +42,23 @@ class QticketSecret:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def label_list(self):
-        return [LABELS[i] for i in self.labels]
 
-    def projectors(self) -> np.ndarray:
-        return PROJECTOR_STACK[self.labels]
+def joint_outcome_laws(projectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Four-way laws (p11, p10, p01, p00) of shape (..., 4) when both halves
+    of two-qubit states (..., 4, 4) are verified against projectors
+    (..., 2, 2); in p10 the first half passes and the second fails.
+
+    Raises ValueError when a law sums away from 1 by more than 1e-9.
+    """
+    pass_fail = np.stack([projectors, I2 - projectors], axis=-3)
+    # Tr[(M_s (x) M_t) rho] with rho[(A, B), (a, b)] reshaped to [A, B, a, b]
+    rho = states.reshape(*states.shape[:-2], 2, 2, 2, 2)
+    laws = np.einsum("...saA,...tbB,...ABab->...st", pass_fail, pass_fail, rho).real
+    laws = np.clip(laws.reshape(*laws.shape[:-2], 4), 0.0, None)
+    if np.abs(laws.sum(axis=-1) - 1.0).max() > 1e-9:
+        raise ValueError("four-way outcome law does not sum to 1: "
+                         "the two-qubit states are not normalised")
+    return laws
 
 
 class CorrelatedPair:
@@ -70,15 +82,7 @@ class CorrelatedPair:
         if self._bits is None:
             if self.rng is not None:
                 rng = self.rng
-            p = PROJECTOR_STACK[label_indices]
-            q = I2[None, :, :] - p
-            joint = np.stack([
-                np.einsum("nab,ncd->nabcd", x, y).reshape(-1, 4, 4)
-                for x, y in ((p, p), (p, q), (q, p), (q, q))
-            ], axis=1)          # (N, 4, 4, 4): outcome order 11, 10, 01, 00
-            probs = np.einsum("nkij,nji->nk", joint, self.states).real
-            probs = np.clip(probs, 0.0, None)
-            probs /= probs.sum(axis=1, keepdims=True)
+            probs = joint_outcome_laws(PROJECTOR_STACK[label_indices], self.states)
             u = rng.random(len(self.states))
             idx = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
             idx = np.minimum(idx, 3)
@@ -97,16 +101,16 @@ class TokenInstance:
     pair: CorrelatedPair | None = None
     side: int = 0
     consumed: bool = False
-    n_qubits: int = field(default=0)
 
     def __post_init__(self) -> None:
         if self.qubits is not None:
             self.qubits = np.asarray(self.qubits, dtype=complex)
-            self.n_qubits = len(self.qubits)
-        elif self.pair is not None:
-            self.n_qubits = len(self.pair.states)
-        else:
+        elif self.pair is None:
             raise ValueError("token needs qubits or a correlated pair")
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.qubits if self.qubits is not None else self.pair.states)
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,8 @@ def issue(n_qubits: int, rng: np.random.Generator) -> tuple[QticketSecret, Token
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     labels = rng.integers(0, len(LABELS), size=n_qubits).astype(np.uint8)
-    serial = new_serial(rng)
-    secret = QticketSecret(serial, labels)
-    token = TokenInstance(serial, PROJECTOR_STACK[labels].copy())
-    return secret, token
+    secret = QticketSecret(new_serial(rng), labels)
+    return secret, token_from_secret(secret)
 
 
 def multicopy_issue(n_qubits: int, copies: int,
@@ -151,22 +153,21 @@ def multicopy_issue(n_qubits: int, copies: int,
     if copies < 1:
         raise ValueError("copies must be >= 1")
     secret, first = issue(n_qubits, rng)
-    tokens = [first]
-    tokens += [TokenInstance(secret.serial, first.qubits.copy()) for _ in range(copies - 1)]
-    return secret, tokens
+    return secret, [first] + [token_from_secret(secret) for _ in range(copies - 1)]
 
 
 def token_from_secret(secret: QticketSecret) -> TokenInstance:
     return TokenInstance(secret.serial, PROJECTOR_STACK[secret.labels].copy())
 
 
-def degrade(token: TokenInstance, model: NoiseModel) -> TokenInstance:
-    """Pass every qubit through its channel; returns a fresh instance."""
+def degrade(token: TokenInstance, channel: QubitChannel) -> TokenInstance:
+    """Pass every qubit through the channel; returns a fresh instance."""
     if token.qubits is None:
         raise ValueError("cannot degrade a correlated counterfeit")
-    if len(model) != token.n_qubits:
-        raise ValueError(f"noise model covers {len(model)} qubits, token has {token.n_qubits}")
-    return TokenInstance(token.serial, model.apply(token.qubits))
+    qubits = channel.apply_to_stack(token.qubits)
+    # spot-check the first output rather than all N (cost control)
+    check_density_matrix(qubits[0], name="degraded qubit")
+    return TokenInstance(token.serial, qubits)
 
 
 def verify(secret: QticketSecret, token: TokenInstance, policy: VerifierPolicy,
@@ -222,22 +223,6 @@ def exact_honest_acceptance(fidelities: Sequence[float], f_tol) -> float:
         dist[:i + 2] *= (1.0 - fi)
         dist[1:i + 2] += upper
     return _unit(math.fsum(dist[k_min:]))
-
-
-def honest_acceptance_mc(fidelities: Sequence[float], f_tol, trials: int,
-                         rng: np.random.Generator, batch: int = 2000) -> int:
-    """Monte-Carlo twin of :func:`exact_honest_acceptance`; returns the
-    number of accepting trials."""
-    f = np.asarray(fidelities, dtype=float)
-    k_min = threshold_count(f_tol, len(f))
-    hits = 0
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        counts = (rng.random((b, len(f))) < f).sum(axis=1)
-        hits += int((counts >= k_min).sum())
-        done += b
-    return hits
 
 
 def _log_multinomial_joint(n: int, k_min: int, p11: float, p10: float, p01: float) -> float:

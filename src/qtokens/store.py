@@ -11,8 +11,9 @@ Store layout::
          "attempts": 0, "accepted_count": 0}                       # paired token
      ]}
 
-Acceptance counters are bumped under a lock with compare-and-increment
-semantics so concurrent verifier threads cannot overshoot a serial's budget.
+Acceptance and attempt counters are bumped under a lock with
+compare-and-increment semantics so concurrent verifier threads cannot
+overshoot a serial's budget.
 """
 from __future__ import annotations
 
@@ -121,12 +122,20 @@ class SecretStore:
             rec["accepted_count"] += 1
             return True
 
-    def record_attempt(self, serial: str, accepted: bool) -> None:
+    def begin_attempt(self, serial: str, max_attempts: int) -> str | None:
+        """Atomically admit one verification attempt on a paired serial.
+
+        Returns the refusal reason ("already-redeemed", then
+        "attempt-budget-exceeded"), or None once the attempt is counted.
+        """
         with self._lock:
             rec = self.get(serial)
-            rec["attempts"] = rec.get("attempts", 0) + 1
-            if accepted:
-                rec["accepted_count"] += 1
+            if rec["accepted_count"] >= 1:
+                return "already-redeemed"
+            if rec["attempts"] >= max_attempts:
+                return "attempt-budget-exceeded"
+            rec["attempts"] += 1
+            return None
 
     def stash_question(self, serial: str, axes: list[str]) -> None:
         with self._lock:

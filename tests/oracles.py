@@ -24,6 +24,7 @@ from qtokens.core import LABELS, PROJECTOR_STACK
 from qtokens.cv import (complement_question, cv_issue, random_question,
                         score_answer)
 from qtokens.qticket import TokenInstance, token_from_secret, verify
+from qtokens.rational import threshold_count
 
 mpmath.mp.dps = 60
 
@@ -70,6 +71,12 @@ def swap_gate() -> np.ndarray:
     for i, j in product(range(2), range(2)):
         s[2 * i + j, 2 * j + i] = 1.0
     return s
+
+
+def kraus_apply(kraus, rho: np.ndarray) -> np.ndarray:
+    """Channel output sum_i K_i rho K_i^dagger, one literal product per
+    Kraus operator."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
 
 
 def cloner_output(rho: np.ndarray) -> np.ndarray:
@@ -308,6 +315,22 @@ def chisq_stat(counts: np.ndarray, probs: np.ndarray) -> float:
     expected = probs * counts.sum()
     keep = expected > 0
     return float(((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+
+
+def honest_acceptance_mc(fidelities, f_tol, trials: int,
+                         rng: np.random.Generator, batch: int = 2000) -> int:
+    """Monte-Carlo twin of qticket.exact_honest_acceptance; returns the
+    number of accepting trials."""
+    f = np.asarray(fidelities, dtype=float)
+    k_min = threshold_count(f_tol, len(f))
+    hits = 0
+    done = 0
+    while done < trials:
+        b = min(batch, trials - done)
+        counts = (rng.random((b, len(f))) < f).sum(axis=1)
+        hits += int((counts >= k_min).sum())
+        done += b
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,24 @@ from qtokens.attacks import (CV_ATTACKERS, INTERMEDIATE_BASIS,
 from qtokens.bounds import learning_bound
 from qtokens.core import LABELS
 from qtokens.cv import CvLayout, cv_issue, random_question, score_answer
-from qtokens.qticket import VerifierPolicy, double_acceptance_exact, issue, verify
+from qtokens.qticket import (QticketSecret, VerifierPolicy,
+                             double_acceptance_exact, issue, token_from_secret,
+                             verify)
 
 import oracles as O
 
 
 CLONER = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0, 0.0])
 MIXTURE = np.array([1.0 / 2.0, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
+
+# literal reference for each strategy's one-to-two map
+REFERENCE_MAPS = {
+    "universal-cloner": O.cloner_output,
+    "measure-reprepare-z": lambda rho: O.measure_reprepare_output(
+        rho, O.ket_projector("Z+")),
+    "intermediate-basis": lambda rho: O.measure_reprepare_output(
+        rho, O.intermediate_plus_projector()),
+}
 
 
 # -- exact per-label outcome laws --------------------------------------------
@@ -81,14 +92,7 @@ def test_mixture_distributions():
 def test_strategies_are_trace_preserving_and_positive(rng):
     states = [O.ket_projector(n) for n in O.LABEL_ORDER]
     states += [O.random_pure_state(rng) for _ in range(5)]
-    references = {
-        "universal-cloner": O.cloner_output,
-        "measure-reprepare-z": lambda rho: O.measure_reprepare_output(
-            rho, O.ket_projector("Z+")),
-        "intermediate-basis": lambda rho: O.measure_reprepare_output(
-            rho, O.intermediate_plus_projector()),
-    }
-    assert set(references) == set(PAIR_STRATEGIES)
+    assert set(REFERENCE_MAPS) == set(PAIR_STRATEGIES)
     for name, strat in PAIR_STRATEGIES.items():
         for rho in states:
             out = strat(rho)
@@ -97,7 +101,7 @@ def test_strategies_are_trace_preserving_and_positive(rng):
             assert np.linalg.eigvalsh(out).min() > -1e-12
         stack = np.stack(states)
         np.testing.assert_allclose(strat.apply_stack(stack),
-                                   np.stack([references[name](r) for r in stack]),
+                                   np.stack([REFERENCE_MAPS[name](r) for r in stack]),
                                    atol=1e-13)
 
 
@@ -146,6 +150,28 @@ def test_object_level_double_acceptance_matches_mixture_law(rng):
             hits += int(o1.accepted and o2.accepted)
         sigma = math.sqrt(max(p * (1.0 - p) * trials, 1.0))
         assert abs(hits - p * trials) < 4.0 * sigma, (strat.name, hits, p)
+
+
+@pytest.mark.parametrize("label", O.LABEL_ORDER)
+@pytest.mark.parametrize("strategy", sorted(PAIR_STRATEGIES))
+def test_counterfeit_joint_counts_per_label(strategy, label, rng):
+    # every position carries the same label, so the joint pass/fail counts
+    # of the two counterfeits follow that one label's four-way law
+    n = 3000
+    secret = QticketSecret("one-label", np.full(n, O.LABEL_ORDER.index(label),
+                                                dtype=np.uint8))
+    first, second = counterfeit(token_from_secret(secret),
+                                PAIR_STRATEGIES[strategy], rng)
+    policy = VerifierPolicy(Fraction(1, 2), n)
+    counts = (verify(secret, first, policy, rng).correct_count,
+              verify(secret, second, policy, rng).correct_count)
+    bits = [first.pair.outcome_bits(side, secret.labels, rng) for side in (0, 1)]
+    assert counts == (bits[0].sum(), bits[1].sum())
+    joint = np.bincount(2 * (1 - bits[0]) + (1 - bits[1]), minlength=4)
+    want = np.array(O.pair_joint_dist(
+        REFERENCE_MAPS[strategy](O.ket_projector(label)), label))
+    sigma = np.sqrt(n * want * (1.0 - want))
+    assert (np.abs(joint - n * want) <= 4.0 * sigma).all(), (joint, n * want)
 
 
 def test_double_accept_mc_agrees_with_exact(rng):

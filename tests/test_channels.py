@@ -1,11 +1,10 @@
-"""Single-qubit CPTP channels and per-qubit noise models."""
+"""Single-qubit CPTP channels."""
 import numpy as np
 import pytest
 
-from qtokens.channels import (NoiseModel, QubitChannel, amplitude_damping,
-                              apply_channel, average_fidelity, dephasing,
-                              depolarizing, depolarizing_for_fidelity,
-                              identity_channel)
+from qtokens.channels import (QubitChannel, amplitude_damping,
+                              average_fidelity, dephasing, depolarizing,
+                              depolarizing_for_fidelity, identity_channel)
 from qtokens.core import I2, LABELS, PROJECTOR_STACK, check_density_matrix
 
 import oracles as O
@@ -17,7 +16,7 @@ def oracle_average_fidelity(channel: QubitChannel) -> float:
     total = 0.0
     for name in O.LABEL_ORDER:
         rho = O.ket_projector(name)
-        out = sum(k @ rho @ k.conj().T for k in channel.kraus)
+        out = O.kraus_apply(channel.kraus, rho)
         total += float(np.trace(rho @ out).real)
     return total / 6.0
 
@@ -30,7 +29,7 @@ def test_kraus_completeness_enforced():
 def test_identity_channel_is_identity(rng):
     chan = identity_channel()
     for p in PROJECTOR_STACK:
-        np.testing.assert_allclose(apply_channel(chan, p), p, atol=1e-14)
+        np.testing.assert_allclose(chan(p), p, atol=1e-14)
     assert abs(average_fidelity(chan) - 1.0) < 1e-14
 
 
@@ -53,7 +52,7 @@ def test_depolarizing_fidelity_formula():
 
 def test_depolarizing_fixed_point():
     chan = depolarizing(1.0)
-    np.testing.assert_allclose(apply_channel(chan, I2 / 2.0), I2 / 2.0, atol=1e-14)
+    np.testing.assert_allclose(chan(I2 / 2.0), I2 / 2.0, atol=1e-14)
 
 
 def test_depolarizing_for_fidelity_round_trip():
@@ -69,14 +68,14 @@ def test_channel_outputs_are_density_matrices(rng):
                 amplitude_damping(0.25)]
     for chan in channels:
         for p in PROJECTOR_STACK:
-            check_density_matrix(apply_channel(chan, p))
+            check_density_matrix(chan(p))
         assert abs(average_fidelity(chan) - oracle_average_fidelity(chan)) < 1e-12
 
 
 def test_dephasing_preserves_its_axis():
     chan = dephasing(0.8, axis="Z")
     for lab, p in zip(LABELS, PROJECTOR_STACK):
-        out = apply_channel(chan, p)
+        out = chan(p)
         if lab.axis == "Z":
             np.testing.assert_allclose(out, p, atol=1e-14)
 
@@ -85,33 +84,22 @@ def test_amplitude_damping_drives_toward_ground():
     chan = amplitude_damping(1.0)
     excited = PROJECTOR_STACK[1]  # Z- population fully decays
     ground = PROJECTOR_STACK[0]
-    np.testing.assert_allclose(apply_channel(chan, excited), ground, atol=1e-14)
-
-
-def test_noise_model_uniform_apply_matches_loop(rng):
-    chan = depolarizing(0.37)
-    model = NoiseModel.uniform(chan, 5)
-    stack = PROJECTOR_STACK[rng.integers(0, 6, size=5)].copy()
-    got = model.apply(stack)
-    want = np.stack([apply_channel(chan, q) for q in stack])
-    np.testing.assert_allclose(got, want, atol=1e-14)
-
-
-def test_noise_model_heterogeneous(rng):
-    chans = (identity_channel(), depolarizing(0.5), amplitude_damping(0.3))
-    model = NoiseModel(chans)
-    assert len(model.channels) == 3
-    assert not model.homogeneous
-    assert NoiseModel.uniform(depolarizing(0.1), 4).homogeneous
-    stack = PROJECTOR_STACK[:3].copy()
-    got = model.apply(stack)
-    for i, chan in enumerate(chans):
-        np.testing.assert_allclose(got[i], apply_channel(chan, stack[i]), atol=1e-14)
+    np.testing.assert_allclose(chan(excited), ground, atol=1e-14)
 
 
 def test_apply_to_stack_matches_single_application(rng):
-    chan = amplitude_damping(0.4)
-    stack = PROJECTOR_STACK.copy()
-    got = chan.apply_to_stack(stack)
-    want = np.stack([apply_channel(chan, q) for q in stack])
-    np.testing.assert_allclose(got, want, atol=1e-14)
+    stack = np.concatenate([PROJECTOR_STACK,
+                            [O.random_pure_state(rng) for _ in range(4)]])
+    for chan in (amplitude_damping(0.4), depolarizing(0.37), dephasing(0.2, axis="Y")):
+        got = chan.apply_to_stack(stack)
+        want = np.stack([O.kraus_apply(chan.kraus, q) for q in stack])
+        np.testing.assert_allclose(got, want, atol=1e-14)
+        np.testing.assert_allclose(chan(stack[-1]), want[-1], atol=1e-14)
+
+
+def test_single_application_rejects_other_shapes():
+    chan = depolarizing(0.1)
+    with pytest.raises(ValueError):
+        chan(np.eye(4))
+    with pytest.raises(ValueError):
+        chan(PROJECTOR_STACK)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from qtokens.bounds import soundness_bound
-from qtokens.channels import NoiseModel, depolarizing, depolarizing_for_fidelity
+from qtokens.channels import depolarizing, depolarizing_for_fidelity
 from qtokens.core import LABELS, PROJECTOR_STACK
 from qtokens.qticket import (CorrelatedPair, QticketSecret, TokenConsumedError,
                              TokenInstance, Verifier, VerificationOutcome,
                              VerifierPolicy, degrade, double_acceptance_exact,
-                             exact_honest_acceptance, honest_acceptance_mc,
-                             issue, multicopy_issue, token_from_secret, verify)
+                             exact_honest_acceptance, issue, multicopy_issue, token_from_secret, verify)
 from qtokens.store import SecretStore, UnknownSerialError
 
 import oracles as O
@@ -95,9 +94,9 @@ def test_fully_depolarized_match_counts_are_fair_coins(rng):
     # lambda = 1 sends every qubit to I/2: each position matches w.p. 1/2
     secret, token = issue(100, rng)
     trials, counts = 2000, []
-    model = NoiseModel.uniform(depolarizing(1.0), 100)
+    chan = depolarizing(1.0)
     for _ in range(trials):
-        noisy = degrade(token_from_secret(secret), model)
+        noisy = degrade(token_from_secret(secret), chan)
         counts.append(verify(secret, noisy, POLICY(Fraction(3, 4), 100), rng).correct_count)
     mean = np.mean(counts)
     sigma = 5.0 / math.sqrt(trials)
@@ -110,28 +109,32 @@ def test_fully_depolarized_match_counts_are_fair_coins(rng):
 
 def test_degrade_identity_noop(rng):
     secret, token = issue(16, rng)
-    out = degrade(token, NoiseModel.uniform(depolarizing(0.0), 16))
+    out = degrade(token, depolarizing(0.0))
     np.testing.assert_allclose(out.qubits, token.qubits, atol=1e-15)
 
 
 def test_degrade_full_depolarizing_gives_maximally_mixed(rng):
     secret, token = issue(16, rng)
-    out = degrade(token, NoiseModel.uniform(depolarizing(1.0), 16))
+    out = degrade(token, depolarizing(1.0))
     np.testing.assert_allclose(out.qubits, np.broadcast_to(np.eye(2) / 2, (16, 2, 2)),
                                atol=1e-15)
 
 
 def test_degrade_sets_expected_fidelity(rng):
     secret, token = issue(200, rng)
-    out = degrade(token, NoiseModel.uniform(depolarizing_for_fidelity(0.95), 200))
+    out = degrade(token, depolarizing_for_fidelity(0.95))
     overlaps = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], out.qubits).real
     np.testing.assert_allclose(overlaps, 0.95, atol=1e-12)
 
 
-def test_degrade_length_mismatch(rng):
-    secret, token = issue(10, rng)
+def test_degrade_rejects_correlated_counterfeit(rng):
+    secret, _ = issue(10, rng)
+    states = np.stack([O.cloner_output(O.ket_projector(O.LABEL_ORDER[i]))
+                       for i in secret.labels])
+    token = TokenInstance(secret.serial, None, pair=CorrelatedPair(states))
+    assert token.n_qubits == 10
     with pytest.raises(ValueError):
-        degrade(token, NoiseModel.uniform(depolarizing(0.1), 11))
+        degrade(token, depolarizing(0.1))
 
 
 # -- exact honest acceptance -------------------------------------------------
@@ -182,7 +185,7 @@ def test_honest_acceptance_mc_agrees_with_exact(rng):
                             (100, 0.95, Fraction(9, 10)),
                             (500, 0.92, Fraction(9, 10))):
         p = exact_honest_acceptance([f_exp] * n, f_tol)
-        hits = honest_acceptance_mc([f_exp] * n, f_tol, trials, rng)
+        hits = O.honest_acceptance_mc([f_exp] * n, f_tol, trials, rng)
         sigma = math.sqrt(p * (1.0 - p) * trials)
         assert abs(hits - p * trials) < 4.0 * sigma
 

@@ -1,0 +1,35 @@
+"""Smoke tests: the scripts under scripts/ run against the public API."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qtokens.attacks import PAIR_STRATEGIES
+from qtokens.cli import SWEEP_HEADER
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_bound_tables_runs():
+    proc = _run_script("bound_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "measured tokens" in proc.stdout and "paired tokens" in proc.stdout
+
+
+def test_run_sweep_writes_one_csv_per_strategy(tmp_path):
+    proc = _run_script("run_sweep.py", "--sizes", "20", "--trials", "200",
+                       "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in csvs] == sorted(
+        f"double_accept_{name}.csv" for name in PAIR_STRATEGIES)
+    for path in csvs:
+        lines = path.read_text().splitlines()
+        assert lines[0] == SWEEP_HEADER
+        assert len(lines) == 1 + 26      # one row per threshold of the grid

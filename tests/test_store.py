@@ -1,5 +1,6 @@
 """Secret store records, persistence, budgets, token files."""
 import json
+import sys
 import threading
 from fractions import Fraction
 
@@ -107,12 +108,43 @@ def test_try_accept_is_race_safe():
     assert sum(wins) == 1
 
 
+def test_begin_attempt_is_race_safe():
+    store = SecretStore()
+    store.add_cv("s", 1, 2, Fraction(1, 2), np.zeros((1, 2, 2), dtype=np.uint8))
+    admitted = []
+    barrier = threading.Barrier(8)
+
+    def worker():
+        barrier.wait(timeout=10)
+        if store.begin_attempt("s", max_attempts=3) is None:
+            admitted.append(1)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often to expose a lost update
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(admitted) == 3
+    assert store.get("s")["attempts"] == 3
+
+
 def test_record_attempt_and_stash():
     store = SecretStore()
     store.add_cv("s", 1, 2, Fraction(1, 2), np.zeros((1, 2, 2), dtype=np.uint8))
     assert store.stashed_question("s") is None
-    store.record_attempt("s", accepted=False)
-    store.record_attempt("s", accepted=True)
+    assert store.begin_attempt("s", max_attempts=2) is None
+    assert store.begin_attempt("s", max_attempts=2) is None
+    assert store.begin_attempt("s", max_attempts=2) == "attempt-budget-exceeded"
+    assert store.try_accept("s")
+    # a redeemed serial is refused before its attempt budget is consulted
+    assert store.begin_attempt("s", max_attempts=2) == "already-redeemed"
+    assert store.begin_attempt("s", max_attempts=8) == "already-redeemed"
     rec = store.get("s")
     assert rec["attempts"] == 2 and rec["accepted_count"] == 1
     store.stash_question("s", ["Z", "X"])
