@@ -280,8 +280,8 @@ class CvVerifier:
             return self._abort(chan, "protocol-error", str(exc))
         if msg is None:
             return None
-        if msg["type"] != "hello" or "serial" not in msg:
-            return self._abort(chan, "protocol-error", "expected hello with a serial")
+        if msg["type"] != "hello" or not isinstance(msg.get("serial"), str):
+            return self._abort(chan, "protocol-error", "expected hello with a string serial")
         serial = msg["serial"]
         try:
             rec = self.store.get(serial)

@@ -225,42 +225,35 @@ def exact_honest_acceptance(fidelities: Sequence[float], f_tol) -> float:
     return _unit(math.fsum(dist[k_min:]))
 
 
-def _log_multinomial_joint(n: int, k_min: int, p11: float, p10: float, p01: float) -> float:
-    """Joint acceptance when p00 = 0: both counts >= k_min means the '10'
-    and '01' counts are each <= n - k_min.  Direct trinomial sum in log
-    space, O(N^2)."""
-    m = n - k_min
-    if m < 0:
-        return 0.0
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    b = np.arange(0, m + 1)
-    bb, cc = np.meshgrid(b, b, indexing="ij")
-    aa = n - bb - cc
-    valid = aa >= 0
-    aa_s = np.where(valid, aa, 0)
-    logp = (logfact[n] - logfact[aa_s] - logfact[bb] - logfact[cc]
-            + aa_s * _safe_log(p11) + bb * _safe_log(p10) + cc * _safe_log(p01))
-    # zero-probability outcome categories contribute only at zero counts
-    logp = np.where(valid, logp, -np.inf)
-    logp = np.where((bb > 0) & (p10 == 0.0), -np.inf, logp)
-    logp = np.where((cc > 0) & (p01 == 0.0), -np.inf, logp)
-    logp = np.where((aa_s > 0) & (p11 == 0.0), -np.inf, logp)
-    peak = logp.max()
-    if peak == -np.inf:
-        return 0.0
-    return _unit(np.exp(peak) * math.fsum(np.exp(logp - peak).ravel()))
+# rows of s (positions where exactly one copy passes) handled per numpy pass;
+# keeps working memory at O(block * (N - k)) however large N is
+_BLOCK_ROWS = 64
 
 
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0.0 else 0.0
+def _xlogp(x, p: float):
+    """x * log(p) for non-negative counts x, with 0 * log(0) = 0."""
+    if p > 0.0:
+        return x * math.log(p)
+    return np.where(x > 0, -np.inf, 0.0)
 
 
 def double_acceptance_exact(n_qubits: int, f_tol, pair_dist) -> float:
     """P[count_1 >= k and count_2 >= k] for two tokens whose positions share
     iid four-way outcomes (both right, first only, second only, neither).
 
-    Uses an O(N^2) trinomial sum when p00 = 0 and an O(N^3) lattice
-    convolution otherwise.
+    With m = N - k, let d count the positions where both copies fail and
+    s those where exactly one passes; given s, the first copy's passes
+    among them are Bin(s, q) with q = p10 / (p10 + p01).  Both copies
+    accept iff that count lies in the window [s + d - m, m - d], so
+
+        P = sum_{d <= m, s + 2d <= 2m} Multi(N; N - s - d, s, d)
+                                       * P[s + d - m <= Bin(s, q) <= m - d].
+
+    For fixed s the windows are nested around s / 2, so they are built by
+    accumulating pmf pairs outward from the centre, with no differences of
+    tails.  The sum runs in log space over the (s, m - d) cells in blocks of
+    rows: O((N - k) * N) time and O(block * (N - k)) memory for every law,
+    including p00 > 0 and zero entries.
     """
     p11, p10, p01, p00 = (float(x) for x in pair_dist)
     probs = (p11, p10, p01, p00)
@@ -273,20 +266,39 @@ def double_acceptance_exact(n_qubits: int, f_tol, pair_dist) -> float:
         return 0.0
     if k_min <= 0:
         return 1.0
-    if p00 <= 1e-15:
-        return _log_multinomial_joint(n_qubits, k_min, p11, p10, p01)
-    # lattice over (count_1, count_2)
-    size = n_qubits + 1
-    cur = np.zeros((size, size))
-    cur[0, 0] = 1.0
-    nxt = np.empty_like(cur)
-    for _ in range(n_qubits):
-        np.multiply(cur, p00, out=nxt)
-        nxt[1:, 1:] += p11 * cur[:-1, :-1]
-        nxt[1:, :] += p10 * cur[:-1, :]
-        nxt[:, 1:] += p01 * cur[:, :-1]
-        cur, nxt = nxt, cur
-    return _unit(math.fsum(cur[k_min:, k_min:].ravel()))
+    p11, p10, p01, p00 = (max(0.0, p) for p in probs)
+    n, m = n_qubits, n_qubits - k_min
+    lgam = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    s_top = min(2 * m, n)
+    peaks, sums = [], []
+    for s0 in range(0, s_top + 1, _BLOCK_ROWS):
+        s = np.arange(s0, min(s0 + _BLOCK_ROWS, s_top + 1))[:, None]
+        h = np.arange(s0 // 2, m + 1)     # upper end m - d of the window
+        c = s - h                         # lower end of the window
+        live = (c >= 0) & (2 * h >= s)
+        c = np.where(live, c, 0)
+        # p10^b p01^(s-b) / (b! (s-b)!) at b = h and at b = s - h: the
+        # binomial pmf of the window ends times (p10 + p01)^s / s!
+        log_fact = lgam[h] + lgam[c]
+        upper = np.where(live, _xlogp(h, p10) + _xlogp(c, p01) - log_fact, -np.inf)
+        lower = np.where(live & (2 * h > s),
+                         _xlogp(c, p10) + _xlogp(h, p01) - log_fact, -np.inf)
+        log_window = np.logaddexp.accumulate(np.logaddexp(upper, lower), axis=1)
+        d = m - h
+        a = n - s - d
+        a_ok = np.maximum(a, 0)
+        log_term = np.where(a >= 0,
+                            lgam[n] - lgam[a_ok] - lgam[d] + _xlogp(a_ok, p11)
+                            + _xlogp(d, p00) + log_window, -np.inf)
+        peak = log_term.max()
+        if peak > -np.inf:
+            peaks.append(peak)
+            sums.append(np.exp(log_term - peak).sum())
+    if not peaks:
+        return 0.0
+    top = max(peaks)
+    return _unit(math.exp(top) * math.fsum(w * math.exp(p - top)
+                                           for p, w in zip(peaks, sums)))
 
 
 class Verifier:

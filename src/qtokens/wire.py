@@ -72,18 +72,29 @@ class LineChannel:
         self._sock.sendall(serialize(message))
 
     def recv(self) -> dict[str, Any] | None:
-        """Next message, or None on clean EOF."""
-        while b"\n" not in self._buffer:
-            if len(self._buffer) > MAX_LINE_BYTES:
+        """Next message, or None on clean EOF.
+
+        Only the newest chunk is searched for the newline and the pending
+        chunks are joined once, so a line costs time linear in its length.
+        """
+        chunk, parts, size = self._buffer, [], 0
+        cut = chunk.find(b"\n")
+        while cut < 0:
+            parts.append(chunk)
+            size += len(chunk)
+            if size > MAX_LINE_BYTES:
+                self._buffer = b"".join(parts)
                 raise ProtocolError("message exceeds line limit")
             chunk = self._sock.recv(65536)
             if not chunk:
-                if self._buffer:
+                self._buffer = b"".join(parts)
+                if size:
                     raise ProtocolError("connection closed mid-message")
                 return None
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return parse(line)
+            cut = chunk.find(b"\n")
+        parts.append(chunk[:cut])
+        self._buffer = chunk[cut + 1:]
+        return parse(b"".join(parts))
 
     def close(self) -> None:
         try:

@@ -11,6 +11,7 @@ score_answer), the route the batched estimators replace.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -220,6 +221,31 @@ def frac_double_accept(n: int, dist: tuple[Fraction, ...], k: int) -> Fraction:
                 total += (coeff * p11 ** c11 * p10 ** c10
                           * p01 ** c01 * p00 ** c00)
     return total
+
+
+def lattice_double_accept(n: int, k: int, dist) -> float:
+    """P[count1 >= k and count2 >= k] by propagating the full (count1,
+    count2) distribution one position at a time: an O(n^3) float lattice
+    with no logs, windows or cut-offs."""
+    cur = _count_lattice(n, tuple(float(x) for x in dist))
+    return math.fsum(cur[max(k, 0):, max(k, 0):].ravel())
+
+
+@functools.lru_cache(maxsize=8)
+def _count_lattice(n: int, dist: tuple[float, ...]) -> np.ndarray:
+    # independent of the threshold, so one lattice serves a whole grid
+    p11, p10, p01, p00 = dist
+    cur = np.zeros((n + 1, n + 1))
+    cur[0, 0] = 1.0
+    nxt = np.empty_like(cur)
+    for _ in range(n):
+        np.multiply(cur, p00, out=nxt)
+        nxt[1:, 1:] += p11 * cur[:-1, :-1]
+        nxt[1:, :] += p10 * cur[:-1, :]
+        nxt[:, 1:] += p01 * cur[:, :-1]
+        cur, nxt = nxt, cur
+    cur.flags.writeable = False
+    return cur
 
 
 def cloner_double_accept(n: int, k: int) -> float:

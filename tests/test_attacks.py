@@ -136,7 +136,7 @@ def test_counterfeit_consumes_and_pairs(rng):
 
 def test_object_level_double_acceptance_matches_mixture_law(rng):
     # issue fresh labels per trial: per-position outcomes are then iid from
-    # the label-averaged law, which the lattice oracle integrates exactly
+    # the label-averaged law, which double_acceptance_exact integrates exactly
     n, f_tol, trials = 40, Fraction(3, 4), 2500
     policy = VerifierPolicy(f_tol, n)
     for strat in (UNIVERSAL_CLONER, MEASURE_REPREPARE_Z, INTERMEDIATE_BASIS):

@@ -356,6 +356,20 @@ def test_wire_qticket_serial_is_not_paired(rng):
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
 
 
+@pytest.mark.parametrize("serial", [["x"], 5, None])
+def test_wire_non_string_serial_is_protocol_error(rng, serial):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    attempts = store.get(secret.serial)["attempts"]
+    vchan, hchan = wire.LineChannel.pair()
+    with vchan, hchan:
+        hchan.send(wire.hello_message(serial))
+        sent = verifier.serve_one(vchan)
+        msg = hchan.recv()
+    assert msg == sent
+    assert msg["type"] == "error" and msg["code"] == "protocol-error"
+    assert store.get(secret.serial)["attempts"] == attempts
+
+
 def test_fixed_policy_repeats_axes(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng, policy="fixed")
     wrong = 1 - _perfect_sheet(secret)

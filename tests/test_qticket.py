@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.bounds import soundness_bound
 from qtokens.channels import depolarizing, depolarizing_for_fidelity
 from qtokens.core import LABELS, PROJECTOR_STACK
@@ -230,6 +232,55 @@ def test_cloner_marginal_is_binomial_tail():
         single = double_acceptance_exact(n, f_tol, (Fraction(5, 6), Fraction(1, 6), 0, 0))
         # a dist with p01 = p00 = 0 makes the second count always n
         assert abs(single - O.binom_tail_ge(n, 5.0 / 6.0, k)) < 1e-12 * max(single, 1e-30)
+
+
+GRID = tuple(Fraction(j, 100) for j in range(70, 96))
+
+
+def _assert_matches_lattice(n, f_tol, dist):
+    got = double_acceptance_exact(n, f_tol, dist)
+    want = O.lattice_double_accept(n, math.ceil(f_tol * n), dist)
+    assert abs(got - want) <= 1e-10 * want, (n, f_tol, dist, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_STRATEGIES))
+def test_double_acceptance_matches_lattice_for_mixture_laws(name):
+    dist = mixture_outcome_distribution(PAIR_STRATEGIES[name])
+    for n in (60, 300):
+        for f_tol in GRID:
+            _assert_matches_lattice(n, f_tol, dist)
+
+
+def test_double_acceptance_matches_lattice_off_centre():
+    # q = p10 / (p10 + p01) = 6/7: the binomial window sits far from the mode
+    dist = (0.6, 0.3, 0.05, 0.05)
+    for n in (200, 400):
+        for f_tol in (Fraction(j, 100) for j in range(50, 96)):
+            _assert_matches_lattice(n, f_tol, dist)
+
+
+@st.composite
+def _rational_laws(draw):
+    weights = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4)
+                   .filter(lambda w: sum(w) > 0))
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+@given(_rational_laws(), st.integers(1, 10), st.data())
+def test_double_acceptance_rational_laws_with_zero_entries(dist, n, data):
+    k = data.draw(st.integers(0, n))
+    got = double_acceptance_exact(n, Fraction(k, n), dist)
+    want = float(O.frac_double_accept(n, dist, k))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_double_acceptance_continuous_as_p00_vanishes():
+    exact_zero = (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6), 0)
+    tiny = (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0, 1e-17)
+    for f_tol in GRID:
+        a = double_acceptance_exact(1000, f_tol, exact_zero)
+        b = double_acceptance_exact(1000, f_tol, tiny)
+        assert a > 0.0 and abs(a - b) <= 1e-12 * a
 
 
 def test_double_acceptance_validates_distribution():

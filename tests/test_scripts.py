@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from qtokens.attacks import PAIR_STRATEGIES
@@ -23,7 +24,8 @@ def test_bound_tables_runs():
 
 
 def test_run_sweep_writes_one_csv_per_strategy(tmp_path):
-    proc = _run_script("run_sweep.py", "--sizes", "20", "--trials", "200",
+    # a mid-size N for every strategy, the p00 > 0 laws included
+    proc = _run_script("run_sweep.py", "--sizes", "20", "300", "--trials", "200",
                        "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     csvs = sorted(tmp_path.glob("*.csv"))
@@ -32,4 +34,12 @@ def test_run_sweep_writes_one_csv_per_strategy(tmp_path):
     for path in csvs:
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP_HEADER
-        assert len(lines) == 1 + 26      # one row per threshold of the grid
+        assert len(lines) == 1 + 2 * 26  # one row per (threshold, size) cell
+        curves: dict[int, list[tuple[Fraction, float]]] = {}
+        for line in lines[1:]:
+            f_tol, n, exact = line.split(",")[:3]
+            curves.setdefault(int(n), []).append((Fraction(f_tol), float(exact)))
+        assert sorted(curves) == [20, 300]
+        for points in curves.values():
+            exact = [p for _, p in sorted(points)]
+            assert all(b <= a for a, b in zip(exact, exact[1:])), (path.name, exact)

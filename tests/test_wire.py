@@ -115,6 +115,46 @@ def test_line_channel_mid_message_eof_raises():
             b.recv()
 
 
+class _ByteSocket:
+    """Socket stand-in that hands out its data one byte per recv call, the
+    worst case of a peer that sends a line in 1-byte pieces."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def recv(self, bufsize: int) -> bytes:
+        piece = self.data[self.pos:self.pos + 1]
+        self.pos += len(piece)
+        return piece
+
+
+def test_line_channel_reassembles_one_byte_chunks():
+    first = wire.hello_message("s" * 300)
+    second = wire.verdict_message(True)
+    chan = wire.LineChannel(_ByteSocket(wire.serialize(first) + wire.serialize(second)))
+    assert chan.recv() == first
+    assert chan.recv() == second
+    assert chan.recv() is None
+
+
+def test_line_channel_keeps_lines_that_share_a_chunk():
+    a, b = wire.LineChannel.pair()
+    with a, b:
+        a._sock.sendall(b'{"type":"hello"}\n{"type":"verdict"}\n{"type":"er')
+        a._sock.sendall(b'ror"}\n')
+        assert [b.recv()["type"] for _ in range(3)] == ["hello", "verdict", "error"]
+
+
+def test_line_channel_over_limit_line_raises(monkeypatch):
+    line = b'{"type":"hello"}'
+    monkeypatch.setattr(wire, "MAX_LINE_BYTES", len(line))
+    assert wire.LineChannel(_ByteSocket(line + b"\n")).recv() == {"type": "hello"}
+    sock = _ByteSocket(b"x" * 1000)
+    with pytest.raises(wire.ProtocolError, match="line limit"):
+        wire.LineChannel(sock).recv()
+    assert sock.pos == len(line) + 1   # stops reading once past the limit
+
+
 def test_line_channel_limit_constant():
     assert wire.MAX_LINE_BYTES == 64 * 1024 * 1024
 
