@@ -10,12 +10,12 @@ from .channels import (QubitChannel, amplitude_damping, average_fidelity,
                        identity_channel)
 from .core import LABELS, StateLabel
 from .attacks import (CV_ATTACKERS, PAIR_STRATEGIES, PairCloneStrategy,
-                      PairOutcomeDist, counterfeit, pair_outcome_distribution,
+                      PairOutcomeDist, pair_outcome_distribution,
                       sequential_attack_rate)
 from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
                  CvVerifier, ScoreCard, cv_issue, double_spend_experiment,
                  honest_answer, honest_protocol_experiment, run_holder,
-                 score_answer, verifier_session)
+                 score_answer)
 from .games import (Wqrg, build_cv_pair_games, selective_value,
                     tensor_product, threshold_game_bound, value_wrt_projection)
 from .qticket import (QticketSecret, TokenConsumedError, TokenInstance,

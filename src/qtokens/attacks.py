@@ -1,8 +1,9 @@
 """Cloning strategies, sequential-attack rate laws and CV attackers.
 
 Pair-cloning strategies map one qubit to two (a CPTP map into two registers);
-the resulting counterfeits share a :class:`~qtokens.qticket.CorrelatedPair`
-so joint verification statistics come out of the actual post-cloning states.
+the joint verification statistics of the two counterfeits come out of the
+actual post-cloning states through
+:func:`~qtokens.qticket.joint_outcome_laws`.
 The rate laws stage a single holder against several verifiers who check the
 same serial but cannot coordinate; the figure of merit is how often at least
 two of them accept.  The challenge-response attackers answer the paired
@@ -21,7 +22,7 @@ from .core import (I2, LABEL_INDEX, LABELS, PAULI_X, PAULI_Z, PROJECTOR_STACK,
                    StateLabel)
 from .cv import (ChallengeQuestion, CvToken, honest_answer, measured_bit_zero,
                  sample_bits)
-from .qticket import CorrelatedPair, TokenInstance, joint_outcome_laws
+from .qticket import joint_outcome_laws
 from .rational import threshold_count
 
 
@@ -133,26 +134,6 @@ def mixture_outcome_distribution(strategy: PairCloneStrategy) -> PairOutcomeDist
     mixture law even for label-sensitive strategies."""
     dist = _label_outcome_laws(strategy).mean(axis=0)
     return PairOutcomeDist(*(float(x) for x in dist))
-
-
-def counterfeit(token: TokenInstance, strategy: PairCloneStrategy,
-                rng: np.random.Generator | None = None
-                ) -> tuple[TokenInstance, TokenInstance]:
-    """Consume a token and emit two correlated counterfeits with its serial.
-
-    The per-position post-cloning 4x4 states are kept on a shared
-    CorrelatedPair; the joint four-outcome measurement is sampled once, at
-    first verification, drawing from ``rng`` when one is supplied here.
-    """
-    if token.consumed:
-        raise ValueError("token already consumed")
-    if token.qubits is None:
-        raise ValueError("can only clone a token with definite qubit states")
-    token.consumed = True
-    pair = CorrelatedPair(strategy.apply_stack(token.qubits), rng=rng)
-    first = TokenInstance(token.serial, None, pair=pair, side=0)
-    second = TokenInstance(token.serial, None, pair=pair, side=1)
-    return first, second
 
 
 def double_accept_mc(n_qubits: int, f_tol, dist: PairOutcomeDist, trials: int,

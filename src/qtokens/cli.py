@@ -25,15 +25,14 @@ from .bounds import (CV_THRESHOLD, SINGLE_COPY_THRESHOLD, BoundReport,
                      multicopy_security_bound, multicopy_threshold,
                      security_bound, soundness_bound)
 from .channels import depolarizing_for_fidelity
-from .cv import (ChallengeQuestion, CvLayout, CvToken, CvVerifier,
-                 QUESTION_POLICIES, apply_noise, cv_issue, honest_answer,
-                 register, run_holder)
+from .cv import (CvLayout, CvToken, CvVerifier, QUESTION_POLICIES,
+                 apply_noise, cv_issue, register, run_holder)
 from .games import (build_cv_pair_games, mixed_question_value,
                     repeated_question_game, selective_value)
 from .qticket import (TokenInstance, Verifier, double_acceptance_exact,
                       multicopy_issue)
 from .rational import as_fraction
-from .rng import default_seed, root_rng, spawn
+from .rng import default_seed, root_rng
 from .store import SecretStore, UnknownSerialError, read_token, write_token
 
 EXIT_OK = 0
@@ -219,7 +218,7 @@ def sweep_rows(config: ExperimentConfig) -> list[str]:
     """
     dist = mixture_outcome_distribution(PAIR_STRATEGIES[config.strategy])
     cells = sorted({(f, n) for n in config.sizes for f in config.ftol_grid})
-    streams = spawn(root_rng(config.seed), len(cells))
+    streams = root_rng(config.seed).spawn(len(cells))
     n_chunks = max(1, math.ceil(config.trials / MC_CHUNK))
 
     plan = []
@@ -378,6 +377,23 @@ def _verdict_exit(message: dict | None) -> int:
     return EXIT_OK if message.get("accepted") else EXIT_REJECTED
 
 
+class _EchoChannel:
+    """Holder end of a channel that prints each message as it passes."""
+
+    def __init__(self, chan: wire.LineChannel, args):
+        self.chan = chan
+        self.args = args
+
+    def send(self, message: dict) -> None:
+        _emit(self.args, ">>", message)
+        self.chan.send(message)
+
+    def recv(self) -> dict | None:
+        message = self.chan.recv()
+        _emit(self.args, "<<", message)
+        return message
+
+
 def _demo_in_process(args) -> int:
     rng = _seeded(args)
     store = SecretStore(args.store)
@@ -392,20 +408,7 @@ def _demo_in_process(args) -> int:
                               daemon=True)
     thread.start()
     try:
-        hello = wire.hello_message(token.serial)
-        _emit(args, ">>", hello)
-        holder_chan.send(hello)
-        msg = holder_chan.recv()
-        _emit(args, "<<", msg)
-        if msg is None or msg["type"] != "challenge":
-            return _verdict_exit(msg)
-        question = ChallengeQuestion(msg["question_id"], tuple(msg["axes"]))
-        sheet = honest_answer(token, question, None, rng)
-        answer = wire.answer_message(sheet.question_id, sheet.outcomes)
-        _emit(args, ">>", answer)
-        holder_chan.send(answer)
-        verdict = holder_chan.recv()
-        _emit(args, "<<", verdict)
+        verdict = run_holder(_EchoChannel(holder_chan, args), token, rng)
     finally:
         thread.join(timeout=30)
         holder_chan.close()

@@ -79,15 +79,6 @@ CV_PAIR_LABELS: tuple[tuple[StateLabel, StateLabel], ...] = (
 )
 
 
-def projector_of(label: StateLabel) -> np.ndarray:
-    """Rank-1 projector onto the labelled eigenstate (fresh 2x2 array)."""
-    return PROJECTOR_STACK[LABEL_INDEX[label]].copy()
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def partial_trace(m: np.ndarray, trace_out: int = 1) -> np.ndarray:
     """Trace a 4x4 operator down to 2x2 over factor 0 (first) or 1 (second)."""
     m = np.asarray(m)
@@ -101,27 +92,26 @@ def partial_trace(m: np.ndarray, trace_out: int = 1) -> np.ndarray:
     return np.einsum("kikj->ij", t)
 
 
-def is_hermitian(a: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
-
-
 def check_density_matrix(m: np.ndarray, *, name: str = "state") -> np.ndarray:
-    """Validate a 2x2 or 4x4 density matrix; returns the array unchanged.
+    """Validate a (..., d, d) stack of density matrices with d in {2, 4} in
+    one vectorised pass; returns the array (as complex) unchanged.
 
-    Raises ValueError on the first violated contract: square with dim in
-    {2, 4}, Hermitian within 1e-12, unit trace within 1e-12, eigenvalues
-    >= -1e-10.
+    Raises ValueError on the first violated contract: square with d in
+    {2, 4}, finite entries, Hermitian within 1e-12, unit trace within
+    1e-12, eigenvalues >= -1e-10.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"{name}: expected a 2x2 or 4x4 matrix, got {m.shape}")
-    if not is_hermitian(m, ATOL_HERMITIAN):
+    if m.shape[-2:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"{name}: expected 2x2 or 4x4 matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name}: entries must be finite")
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > ATOL_HERMITIAN:
         raise ValueError(f"{name}: not Hermitian within {ATOL_HERMITIAN}")
-    tr = np.trace(m)
-    if abs(tr - 1.0) > ATOL_TRACE:
-        raise ValueError(f"{name}: trace {tr} differs from 1 beyond {ATOL_TRACE}")
-    eigs = np.linalg.eigvalsh(m)
-    if eigs.min() < -ATOL_EIGENVALUE:
-        raise ValueError(f"{name}: negative eigenvalue {eigs.min()}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    worst = np.abs(tr - 1.0).max()
+    if worst > ATOL_TRACE:
+        raise ValueError(f"{name}: trace differs from 1 by {worst} beyond {ATOL_TRACE}")
+    low = np.linalg.eigvalsh(m).min()
+    if low < -ATOL_EIGENVALUE:
+        raise ValueError(f"{name}: negative eigenvalue {low}")
     return m

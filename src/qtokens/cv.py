@@ -353,28 +353,6 @@ def run_holder(chan: wire.LineChannel, token: CvToken,
     return verdict
 
 
-def verifier_session(secret: CvSecret, layout: CvLayout, policy: str,
-                     chan: wire.LineChannel,
-                     rng: np.random.Generator,
-                     max_attempts: int = 8) -> dict | None:
-    """Serve one holder over an open channel with an ephemeral store.
-
-    Loops full challenge-response rounds (allowing retries under the given
-    question policy) until the holder hangs up; returns the last message
-    sent, or None if the holder never spoke.
-    """
-    store = SecretStore()
-    register(store, layout, secret)
-    verifier = CvVerifier(store, rng, question_policy=policy,
-                          max_attempts=max_attempts)
-    last: dict | None = None
-    while True:
-        sent = verifier.serve_one(chan)
-        if sent is None:
-            return last
-        last = sent
-
-
 # ---------------------------------------------------------------------------
 # Batched experiments.
 
@@ -443,10 +421,6 @@ class DoubleSpendReport:
     rate: float
     bound: float
     mean_pair_utility: float
-
-    def __iter__(self):
-        yield self.rate
-        yield self.bound
 
 
 def complementary_double_spend_bound(layout: CvLayout) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import chernoff_tail
 from .core import (CV_PAIR_LABELS, I2, PROJECTOR_STACK, LABEL_INDEX,
-                   check_density_matrix, partial_trace, tensor)
+                   check_density_matrix, partial_trace)
 
 RANK_TOLERANCE = 1e-9
 
@@ -180,7 +180,7 @@ def tensor_product(g1: Wqrg, g2: Wqrg) -> Wqrg | ProductWqrg:
         for j, s2 in enumerate(e2.indices):
             indices.append((s1, s2))
             weights.append(e1.weights[i] * e2.weights[j])
-            states.append(tensor(e1.states[i], e2.states[j]))
+            states.append(np.kron(e1.states[i], e2.states[j]))
     answers = tuple((a1, a2) for a1 in g1.utility.answers for a2 in g2.utility.answers)
     table = {}
     for (s1, s2) in indices:
@@ -217,7 +217,7 @@ def _axis_utility(axis: str) -> Callable[[tuple, str], float]:
 
 def _pair_ensemble() -> IndexedEnsemble:
     states = tuple(
-        tensor(PROJECTOR_STACK[LABEL_INDEX[l1]], PROJECTOR_STACK[LABEL_INDEX[l2]])
+        np.kron(PROJECTOR_STACK[LABEL_INDEX[l1]], PROJECTOR_STACK[LABEL_INDEX[l2]])
         for l1, l2 in CV_PAIR_LABELS)
     return IndexedEnsemble(CV_PAIR_LABELS, (1.0 / 8.0,) * 8, states)
 
@@ -281,10 +281,10 @@ def restrict_projection(projection: SelectiveProjection,
     for (a1, a2), op in projection.operators.items():
         key = a1 if keep == 0 else a2
         if keep == 0:
-            weighted = op @ tensor(I2, other_state)
+            weighted = op @ np.kron(I2, other_state)
             reducedop = partial_trace(weighted, trace_out=1)
         else:
-            weighted = op @ tensor(other_state, I2)
+            weighted = op @ np.kron(other_state, I2)
             reducedop = partial_trace(weighted, trace_out=0)
         ops[key] = ops.get(key, np.zeros((2, 2), dtype=complex)) + reducedop
     return SelectiveProjection(ops)

@@ -6,11 +6,11 @@ verifier measures every position against its recorded label and accepts
 when at least ceil(F_tol * N) outcomes match.  Acceptance thresholds are
 exact rationals; see :mod:`qtokens.rational`.
 
-Counterfeit tokens created by pair-cloning strategies come in correlated
-twos: the per-position four-outcome joint measurement is sampled once (at
-first verification) and the marginals handed to the two instances, so joint
-verification statistics are exact.  :func:`joint_outcome_laws` is the one
-place that four-way law is computed.
+A :class:`TokenInstance` is only the serial and the qubits; it checks at
+construction that the qubits form an (N, 2, 2) stack of density matrices,
+so a file of arbitrary matrices cannot pass for a token.  Pair-cloning
+counterfeits are judged through :func:`joint_outcome_laws`, the one place
+the four-way law of two verified halves is computed.
 """
 from __future__ import annotations
 
@@ -61,56 +61,26 @@ def joint_outcome_laws(projectors: np.ndarray, states: np.ndarray) -> np.ndarray
     return laws
 
 
-class CorrelatedPair:
-    """Shared measurement record for the two outputs of a pair-cloning map.
-
-    Holds the per-position two-qubit post-cloning states; the four-outcome
-    joint measurement against the verifier's projectors is sampled lazily on
-    first use and the outcome bits are then fixed for both sides.
-    """
-
-    def __init__(self, states_4x4: np.ndarray,
-                 rng: np.random.Generator | None = None):
-        self.states = np.asarray(states_4x4, dtype=complex)
-        if self.states.ndim != 3 or self.states.shape[1:] != (4, 4):
-            raise ValueError("expected an (N, 4, 4) stack")
-        self.rng = rng             # counterfeiter-owned sampling stream
-        self._bits: tuple[np.ndarray, np.ndarray] | None = None
-
-    def outcome_bits(self, side: int, label_indices: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-        if self._bits is None:
-            if self.rng is not None:
-                rng = self.rng
-            probs = joint_outcome_laws(PROJECTOR_STACK[label_indices], self.states)
-            u = rng.random(len(self.states))
-            idx = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-            idx = np.minimum(idx, 3)
-            first = (idx <= 1).astype(np.uint8)   # outcomes 11, 10
-            second = ((idx == 0) | (idx == 2)).astype(np.uint8)
-            self._bits = (first, second)
-        return self._bits[side]
-
-
 @dataclass(eq=False)
 class TokenInstance:
-    """Holder-side physical token; verification consumes it."""
+    """Holder-side physical token; verification consumes it.  Construction
+    raises ValueError unless the qubits are an (N, 2, 2) stack of density
+    matrices with N >= 1."""
 
     serial: str
-    qubits: np.ndarray | None                      # (N, 2, 2) product states
-    pair: CorrelatedPair | None = None
-    side: int = 0
+    qubits: np.ndarray                             # (N, 2, 2) density matrices
     consumed: bool = False
 
     def __post_init__(self) -> None:
-        if self.qubits is not None:
-            self.qubits = np.asarray(self.qubits, dtype=complex)
-        elif self.pair is None:
-            raise ValueError("token needs qubits or a correlated pair")
+        qubits = np.asarray(self.qubits, dtype=complex)
+        if qubits.shape[1:] != (2, 2) or len(qubits) < 1:
+            raise ValueError(f"token qubits must form an (N, 2, 2) stack with "
+                             f"N >= 1, got shape {qubits.shape}")
+        self.qubits = check_density_matrix(qubits, name="token qubit")
 
     @property
     def n_qubits(self) -> int:
-        return len(self.qubits if self.qubits is not None else self.pair.states)
+        return len(self.qubits)
 
 
 @dataclass(frozen=True)
@@ -162,12 +132,7 @@ def token_from_secret(secret: QticketSecret) -> TokenInstance:
 
 def degrade(token: TokenInstance, channel: QubitChannel) -> TokenInstance:
     """Pass every qubit through the channel; returns a fresh instance."""
-    if token.qubits is None:
-        raise ValueError("cannot degrade a correlated counterfeit")
-    qubits = channel.apply_to_stack(token.qubits)
-    # spot-check the first output rather than all N (cost control)
-    check_density_matrix(qubits[0], name="degraded qubit")
-    return TokenInstance(token.serial, qubits)
+    return TokenInstance(token.serial, channel.apply_to_stack(token.qubits))
 
 
 def verify(secret: QticketSecret, token: TokenInstance, policy: VerifierPolicy,
@@ -184,11 +149,8 @@ def verify(secret: QticketSecret, token: TokenInstance, policy: VerifierPolicy,
     if token.n_qubits != policy.n_qubits or len(secret) != policy.n_qubits:
         raise ValueError("token/secret length does not match policy")
     token.consumed = True
-    if token.pair is not None:
-        bits = token.pair.outcome_bits(token.side, secret.labels, rng)
-    else:
-        probs = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], token.qubits).real
-        bits = rng.random(token.n_qubits) < np.clip(probs, 0.0, 1.0)
+    probs = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], token.qubits).real
+    bits = rng.random(token.n_qubits) < np.clip(probs, 0.0, 1.0)
     count = int(bits.sum())
     return VerificationOutcome(count >= policy.k_min, count, token.serial)
 

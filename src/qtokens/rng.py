@@ -29,11 +29,6 @@ def root_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``n`` independent child streams off ``rng``."""
-    return rng.spawn(n)
-
-
 def new_serial(rng: np.random.Generator) -> str:
     """Fresh 128-bit serial as a 32-char hex string."""
     return rng.bytes(16).hex()

@@ -6,8 +6,14 @@ sums, and high-precision mpmath evaluation.  None of them uses the package,
 so agreement is a genuine two-route check rather than a tautology.
 
 The object-level references at the end run attacks one trial at a time
-through the package's per-object API (issue, counterfeit, verify, answer,
-score_answer), the route the batched estimators replace.
+through the package's per-object API (issue, verify, answer, score_answer),
+the route the batched estimators replace.  Counterfeits are an oracle of
+their own here: ``counterfeit`` clones a token's qubits with a package
+strategy map into a ``CorrelatedPair``, whose four-way outcome law is
+rebuilt from np.kron operators rather than taken from the package, and
+``verify_half`` measures one ``CounterfeitHalf`` with the checks
+``qticket.verify`` makes.  ``verifier_session`` serves challenge-response
+rounds on one open channel until the holder hangs up.
 """
 from __future__ import annotations
 
@@ -20,12 +26,14 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from qtokens.attacks import UNIVERSAL_CLONER, counterfeit
+from qtokens.attacks import UNIVERSAL_CLONER
 from qtokens.core import LABELS, PROJECTOR_STACK
-from qtokens.cv import (complement_question, cv_issue, random_question,
-                        score_answer)
-from qtokens.qticket import TokenInstance, token_from_secret, verify
+from qtokens.cv import (CvVerifier, complement_question, cv_issue,
+                        random_question, register, score_answer)
+from qtokens.qticket import (TokenConsumedError, TokenInstance,
+                             VerificationOutcome, token_from_secret, verify)
 from qtokens.rational import threshold_count
+from qtokens.store import SecretStore, UnknownSerialError
 
 mpmath.mp.dps = 60
 
@@ -360,12 +368,102 @@ def honest_acceptance_mc(fidelities, f_tol, trials: int,
 
 
 # ---------------------------------------------------------------------------
+# Object-level counterfeits.
+
+# (6, 4, 4, 4): per label, the two-qubit verification operators
+# P (x) P, P (x) Q, Q (x) P, Q (x) Q with Q = 1 - P, in p11, p10, p01, p00 order
+_JOINT_OPERATORS = np.stack([
+    np.stack([np.kron(a, b) for a, b in product((p, ID2 - p), repeat=2)])
+    for p in (ket_projector(name) for name in LABEL_ORDER)
+])
+
+
+class CorrelatedPair:
+    """Shared measurement record for the two outputs of a pair-cloning map.
+
+    Holds the per-position two-qubit post-cloning states; the four-outcome
+    joint measurement against the verifier's labels is sampled lazily on
+    first use and the outcome bits are then fixed for both sides.
+    """
+
+    def __init__(self, states_4x4: np.ndarray,
+                 rng: np.random.Generator | None = None):
+        self.states = np.asarray(states_4x4, dtype=complex)
+        if self.states.ndim != 3 or self.states.shape[1:] != (4, 4):
+            raise ValueError("expected an (N, 4, 4) stack")
+        self.rng = rng             # counterfeiter-owned sampling stream
+        self._bits: tuple[np.ndarray, np.ndarray] | None = None
+
+    def outcome_bits(self, side: int, label_indices: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        if self._bits is None:
+            if self.rng is not None:
+                rng = self.rng
+            probs = np.einsum("nkij,nji->nk", _JOINT_OPERATORS[label_indices],
+                              self.states).real
+            u = rng.random(len(self.states))
+            idx = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+            idx = np.minimum(idx, 3)
+            first = (idx <= 1).astype(np.uint8)   # outcomes 11, 10
+            second = ((idx == 0) | (idx == 2)).astype(np.uint8)
+            self._bits = (first, second)
+        return self._bits[side]
+
+
+@dataclass(eq=False)
+class CounterfeitHalf:
+    """One side of a correlated counterfeit pair, submitted like a token."""
+
+    serial: str
+    pair: CorrelatedPair
+    side: int
+    consumed: bool = False
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.pair.states)
+
+
+def counterfeit(token: TokenInstance, strategy,
+                rng: np.random.Generator | None = None
+                ) -> tuple[CounterfeitHalf, CounterfeitHalf]:
+    """Consume a token and emit two correlated counterfeits with its serial.
+
+    The joint four-outcome measurement is sampled once, at first
+    verification, drawing from ``rng`` when one is supplied here.
+    """
+    if not isinstance(token, TokenInstance):
+        raise ValueError("can only clone a token with definite qubit states")
+    if token.consumed:
+        raise ValueError("token already consumed")
+    token.consumed = True
+    pair = CorrelatedPair(strategy.apply_stack(token.qubits), rng=rng)
+    return (CounterfeitHalf(token.serial, pair, 0),
+            CounterfeitHalf(token.serial, pair, 1))
+
+
+def verify_half(secret, half: CounterfeitHalf, policy,
+                rng: np.random.Generator) -> VerificationOutcome:
+    """``qticket.verify`` for a counterfeit half: the same consumed, serial
+    and length checks, then the half's side of the shared outcome bits."""
+    if half.consumed:
+        raise TokenConsumedError(f"token {half.serial} already verified")
+    if half.serial != secret.serial:
+        raise UnknownSerialError(f"unknown-serial: {half.serial}")
+    if half.n_qubits != policy.n_qubits or len(secret) != policy.n_qubits:
+        raise ValueError("token/secret length does not match policy")
+    half.consumed = True
+    count = int(half.pair.outcome_bits(half.side, secret.labels, rng).sum())
+    return VerificationOutcome(count >= policy.k_min, count, half.serial)
+
+
+# ---------------------------------------------------------------------------
 # Object-level references for the batched attack experiments.
 #
 # A sequential driver is handed the single genuine token once, then must
 # produce one submission per verification round, seeing only the boolean
-# accept history.  Every submission is consumed by qticket.verify against the
-# same secret.
+# accept history.  Every submission is consumed against the same secret, by
+# qticket.verify or, for counterfeit halves, by verify_half.
 
 def _junk_token(serial: str, n_qubits: int, rng: np.random.Generator) -> TokenInstance:
     labels = rng.integers(0, len(LABELS), size=n_qubits)
@@ -402,7 +500,7 @@ class ResubmitAfterRejectDriver:
     _serial: str = ""
 
     def begin(self, token, policy, rng) -> None:
-        if token.consumed or token.qubits is None:
+        if token.consumed:
             raise ValueError("driver needs the fresh physical token")
         token.consumed = True
         p0 = np.clip(token.qubits[:, 0, 0].real, 0.0, 1.0)
@@ -452,10 +550,31 @@ def sequential_attack(driver: str, secret, v: int, policy, rng) -> list:
     history: list[bool] = []
     transcript = []
     for _ in range(v):
-        outcome = verify(secret, drv.submission(tuple(history), rng), policy, rng)
+        submission = drv.submission(tuple(history), rng)
+        check = verify_half if isinstance(submission, CounterfeitHalf) else verify
+        outcome = check(secret, submission, policy, rng)
         transcript.append(outcome)
         history.append(outcome.accepted)
     return transcript
+
+
+def verifier_session(secret, layout, policy: str, chan,
+                     rng: np.random.Generator) -> dict | None:
+    """Serve one holder over an open channel with an ephemeral store.
+
+    Loops full challenge-response rounds (allowing retries under the given
+    question policy) until the holder hangs up; returns the last message
+    sent, or None if the holder never spoke.
+    """
+    store = SecretStore()
+    register(store, layout, secret)
+    verifier = CvVerifier(store, rng, question_policy=policy)
+    last: dict | None = None
+    while True:
+        sent = verifier.serve_one(chan)
+        if sent is None:
+            return last
+        last = sent
 
 
 def double_spend_reference(layout, attacker, pairing: str, trials: int,

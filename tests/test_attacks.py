@@ -9,7 +9,7 @@ from qtokens.attacks import (CV_ATTACKERS, INTERMEDIATE_BASIS,
                              MEASURE_REPREPARE_Z, PAIR_STRATEGIES,
                              RATE_DRIVERS, UNIVERSAL_CLONER,
                              HonestCopyAttacker, IntermediateBasisAttacker,
-                             _uniform_guess_success, counterfeit,
+                             _uniform_guess_success,
                              double_accept_mc, intermediate_basis_bits,
                              mixture_outcome_distribution,
                              pair_outcome_distribution, sequential_attack_rate)
@@ -17,8 +17,7 @@ from qtokens.bounds import learning_bound
 from qtokens.core import LABELS
 from qtokens.cv import CvLayout, cv_issue, random_question, score_answer
 from qtokens.qticket import (QticketSecret, VerifierPolicy,
-                             double_acceptance_exact, issue, token_from_secret,
-                             verify)
+                             double_acceptance_exact, issue, token_from_secret)
 
 import oracles as O
 
@@ -123,15 +122,15 @@ def test_single_copy_ceilings_hold_for_all_strategies():
 
 def test_counterfeit_consumes_and_pairs(rng):
     secret, token = issue(25, rng)
-    first, second = counterfeit(token, UNIVERSAL_CLONER)
+    first, second = O.counterfeit(token, UNIVERSAL_CLONER)
     assert token.consumed
     assert first.serial == second.serial == secret.serial
     assert first.pair is second.pair
     assert (first.side, second.side) == (0, 1)
     with pytest.raises(ValueError):
-        counterfeit(token, UNIVERSAL_CLONER)
+        O.counterfeit(token, UNIVERSAL_CLONER)
     with pytest.raises(ValueError):
-        counterfeit(first, UNIVERSAL_CLONER)
+        O.counterfeit(first, UNIVERSAL_CLONER)
 
 
 def test_object_level_double_acceptance_matches_mixture_law(rng):
@@ -144,9 +143,9 @@ def test_object_level_double_acceptance_matches_mixture_law(rng):
         hits = 0
         for _ in range(trials):
             secret, token = issue(n, rng)
-            first, second = counterfeit(token, strat)
-            o1 = verify(secret, first, policy, rng)
-            o2 = verify(secret, second, policy, rng)
+            first, second = O.counterfeit(token, strat)
+            o1 = O.verify_half(secret, first, policy, rng)
+            o2 = O.verify_half(secret, second, policy, rng)
             hits += int(o1.accepted and o2.accepted)
         sigma = math.sqrt(max(p * (1.0 - p) * trials, 1.0))
         assert abs(hits - p * trials) < 4.0 * sigma, (strat.name, hits, p)
@@ -160,11 +159,11 @@ def test_counterfeit_joint_counts_per_label(strategy, label, rng):
     n = 3000
     secret = QticketSecret("one-label", np.full(n, O.LABEL_ORDER.index(label),
                                                 dtype=np.uint8))
-    first, second = counterfeit(token_from_secret(secret),
-                                PAIR_STRATEGIES[strategy], rng)
+    first, second = O.counterfeit(token_from_secret(secret),
+                                  PAIR_STRATEGIES[strategy], rng)
     policy = VerifierPolicy(Fraction(1, 2), n)
-    counts = (verify(secret, first, policy, rng).correct_count,
-              verify(secret, second, policy, rng).correct_count)
+    counts = (O.verify_half(secret, first, policy, rng).correct_count,
+              O.verify_half(secret, second, policy, rng).correct_count)
     bits = [first.pair.outcome_bits(side, secret.labels, rng) for side in (0, 1)]
     assert counts == (bits[0].sum(), bits[1].sum())
     joint = np.bincount(2 * (1 - bits[0]) + (1 - bits[1]), minlength=4)

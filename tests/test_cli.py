@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles as O
@@ -17,7 +18,7 @@ from qtokens.cli import ExperimentConfig, sweep_rows
 from qtokens.qticket import double_acceptance_exact
 from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.rng import default_seed
-from qtokens.store import SecretStore
+from qtokens.store import SecretStore, write_token
 
 
 # -- sweep ------------------------------------------------------------------
@@ -147,6 +148,25 @@ def test_verify_unknown_serial_is_protocol_failure(tmp_path, capsys):
     rc = cli.main(["verify", "--store", store, "--token", stray_token])
     assert rc == cli.EXIT_PROTOCOL
     assert "unknown-serial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forged", [
+    lambda n: np.broadcast_to(np.eye(2), (n, 2, 2)),   # trace 2 at every position
+    lambda n: np.asarray(None, dtype=complex),        # NaN instead of a stack
+], ids=["identity", "nan"])
+def test_verify_refuses_forged_qubits(tmp_path, capsys, forged):
+    # knowing the serial is not enough: a file of non-states is no token
+    store, token, serial = _issue_qticket(tmp_path, capsys, N=64)
+    fake = str(tmp_path / "forged.json")
+    write_token(fake, serial, forged(64), kind="qticket")
+    rc = cli.main(["verify", "--store", store, "--token", fake, "--seed", "1"])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert SecretStore(store).get(serial)["accepted_count"] == 0
+    rc = cli.main(["verify", "--store", store, "--token", token, "--seed", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
+    assert SecretStore(store).get(serial)["accepted_count"] == 1
 
 
 def test_verify_refuses_paired_token_kind(tmp_path, capsys):

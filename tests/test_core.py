@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from qtokens.core import (CV_PAIR_LABELS, LABELS, PROJECTOR_STACK,
-                          check_density_matrix, partial_trace, projector_of,
-                          tensor)
+                          check_density_matrix, partial_trace)
+from qtokens.qticket import joint_outcome_laws
 
 import oracles as O
 
@@ -16,14 +16,13 @@ def test_label_order_and_partner():
         assert partner.axis == lab.axis
         assert partner.eigenbit == 1 - lab.eigenbit
         # axis partners are orthogonal
-        overlap = np.trace(projector_of(lab) @ projector_of(partner)).real
+        overlap = np.trace(PROJECTOR_STACK[i] @ PROJECTOR_STACK[i ^ 1]).real
         assert abs(overlap) < 1e-14
 
 
 def test_projectors_match_reference_kets():
-    for lab in LABELS:
-        np.testing.assert_allclose(projector_of(lab), O.ket_projector(lab.value),
-                                   atol=1e-15)
+    for lab, proj in zip(LABELS, PROJECTOR_STACK):
+        np.testing.assert_allclose(proj, O.ket_projector(lab.value), atol=1e-15)
     np.testing.assert_allclose(PROJECTOR_STACK,
                                np.stack([O.ket_projector(n) for n in O.LABEL_ORDER]),
                                atol=1e-15)
@@ -70,15 +69,23 @@ def test_symmetric_projector():
 
 
 def test_tensor_matches_kron(rng):
+    # the two-qubit factor order the package reads is np.kron's: on a
+    # product state a (x) b the four-way law factorises into marginals
+    # with the first factor first (a complex projector also exposes a
+    # transposed factor)
     a = O.random_pure_state(rng)
     b = O.random_pure_state(rng)
-    np.testing.assert_allclose(tensor(a, b), np.kron(a, b), atol=1e-15)
+    p = O.ket_projector("Y+")
+    pa, pb = (np.trace(p @ a).real, np.trace(p @ b).real)
+    want = [pa * pb, pa * (1 - pb), (1 - pa) * pb, (1 - pa) * (1 - pb)]
+    np.testing.assert_allclose(joint_outcome_laws(p, np.kron(a, b)), want,
+                               atol=1e-14)
 
 
 def test_partial_trace_inverts_tensor(rng):
     for _ in range(10):
         a, b = O.random_pure_state(rng), O.random_pure_state(rng)
-        joint = tensor(a, b)
+        joint = np.kron(a, b)
         np.testing.assert_allclose(partial_trace(joint, trace_out=1), a, atol=1e-13)
         np.testing.assert_allclose(partial_trace(joint, trace_out=0), b, atol=1e-13)
 
@@ -99,6 +106,22 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.array([[2.0, 0.0], [0.0, -1.0]]))  # negative eig
     with pytest.raises(ValueError):
         check_density_matrix(np.eye(2))  # trace 2
+    with pytest.raises(ValueError):
+        check_density_matrix(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError):
+        check_density_matrix(np.eye(3) / 3)  # dimension 3
+
+
+def test_check_density_matrix_validates_whole_stacks(rng):
+    good = np.stack([O.random_pure_state(rng) for _ in range(5)])
+    np.testing.assert_array_equal(check_density_matrix(good), good)
+    pairs = np.stack([np.kron(a, b) for a, b in zip(good, good[::-1])])
+    check_density_matrix(pairs.reshape(5, 1, 4, 4))
+    for bad in (np.eye(2), np.diag([1.5, -0.5]), np.full((2, 2), np.nan)):
+        stack = good.copy()
+        stack[-1] = bad          # only the last member is not a state
+        with pytest.raises(ValueError):
+            check_density_matrix(stack)
 
 
 def test_random_pure_state_properties(rng):

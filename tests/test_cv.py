@@ -1,4 +1,5 @@
 """Paired-block tokens: issuance, scoring, wire sessions, experiments."""
+import contextlib
 import math
 import threading
 from fractions import Fraction
@@ -15,7 +16,7 @@ from qtokens.cv import (AXES, PAIRINGS, QUESTION_POLICIES, AnswerSheet,
                         complementary_double_spend_bound, cv_issue,
                         double_spend_experiment, honest_answer,
                         honest_protocol_experiment, random_question, register,
-                        run_holder, score_answer, verifier_session)
+                        run_holder, score_answer)
 from qtokens.attacks import HonestCopyAttacker, IntermediateBasisAttacker
 from qtokens.store import SecretStore
 
@@ -236,13 +237,25 @@ def test_register_writes_record(rng):
 
 # -- wire sessions ----------------------------------------------------------------
 
-def _spawn_verifier(verifier):
+@contextlib.contextmanager
+def _spawned_verifier(serve):
+    """Run ``serve(verifier_end)`` on a thread over a socketpair and yield
+    the holder end and a list that receives what ``serve`` returns.  The
+    verifier end closes when ``serve`` returns or raises, so a failing
+    verifier hangs no holder; the holder end closes on exit."""
     vchan, hchan = wire.LineChannel.pair()
     result: list = []
-    thread = threading.Thread(target=lambda: result.append(verifier.serve_one(vchan)),
-                              daemon=True)
+
+    def run():
+        with vchan:
+            result.append(serve(vchan))
+
+    thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    return hchan, thread, result
+    with hchan:
+        yield hchan, result
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
 
 
 def _fresh_setup(rng, policy="random", max_attempts=8, n=2, r=8,
@@ -258,9 +271,8 @@ def _fresh_setup(rng, policy="random", max_attempts=8, n=2, r=8,
 
 def test_wire_honest_session_accepts(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
-    hchan, thread, result = _spawn_verifier(verifier)
-    verdict = run_holder(hchan, token, rng)
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, result):
+        verdict = run_holder(hchan, token, rng)
     assert verdict["type"] == "verdict" and verdict["accepted"]
     assert verdict["reason"] is None
     assert result[0] == verdict
@@ -269,22 +281,19 @@ def test_wire_honest_session_accepts(rng):
 
 def test_wire_unknown_serial(rng):
     _, _, _, _, verifier = _fresh_setup(rng)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message("no-such-serial"))
-    msg = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message("no-such-serial"))
+        msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "unknown-serial"
 
 
 def test_wire_already_redeemed(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    assert run_holder(hchan, token, rng)["accepted"]
-    thread.join(timeout=5.0)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message(secret.serial))
-    msg = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        assert run_holder(hchan, token, rng)["accepted"]
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message(secret.serial))
+        msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "already-redeemed"
 
 
@@ -292,55 +301,50 @@ def test_wire_attempt_budget(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng, max_attempts=2)
     wrong = 1 - _perfect_sheet(secret)
     for _ in range(2):
-        hchan, thread, _ = _spawn_verifier(verifier)
-        hchan.send(wire.hello_message(secret.serial))
-        challenge = hchan.recv()
-        hchan.send(wire.answer_message(challenge["question_id"], wrong))
-        verdict = hchan.recv()
-        thread.join(timeout=5.0)
+        with _spawned_verifier(verifier.serve_one) as (hchan, _):
+            hchan.send(wire.hello_message(secret.serial))
+            challenge = hchan.recv()
+            hchan.send(wire.answer_message(challenge["question_id"], wrong))
+            verdict = hchan.recv()
         assert verdict["type"] == "verdict" and not verdict["accepted"]
         assert verdict["reason"] == "below-threshold"
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message(secret.serial))
-    msg = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message(secret.serial))
+        msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "attempt-budget-exceeded"
     assert store.get(secret.serial)["attempts"] == 2
 
 
 def test_wire_question_mismatch(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message(secret.serial))
-    hchan.recv()
-    hchan.send(wire.answer_message("stale-id", _perfect_sheet(secret)))
-    verdict = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message(secret.serial))
+        hchan.recv()
+        hchan.send(wire.answer_message("stale-id", _perfect_sheet(secret)))
+        verdict = hchan.recv()
     assert verdict["type"] == "verdict" and not verdict["accepted"]
     assert verdict["reason"] == "question-mismatch"
 
 
 def test_wire_malformed_answer_aborts(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message(secret.serial))
-    challenge = hchan.recv()
-    bad = wire.answer_message(challenge["question_id"], _perfect_sheet(secret))
-    bad["outcomes"] = [["nope"]]
-    hchan.send(bad)
-    msg = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message(secret.serial))
+        challenge = hchan.recv()
+        bad = wire.answer_message(challenge["question_id"], _perfect_sheet(secret))
+        bad["outcomes"] = [["nope"]]
+        hchan.send(bad)
+        msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
 
 
 def test_wire_non_answer_reply_aborts(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message(secret.serial))
-    hchan.recv()
-    hchan.send(wire.hello_message(secret.serial))
-    msg = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message(secret.serial))
+        hchan.recv()
+        hchan.send(wire.hello_message(secret.serial))
+        msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
 
 
@@ -349,10 +353,9 @@ def test_wire_qticket_serial_is_not_paired(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
     q_secret, _ = issue(4, rng)
     store.add_qticket(q_secret.serial, q_secret.labels, Fraction(1, 2))
-    hchan, thread, _ = _spawn_verifier(verifier)
-    hchan.send(wire.hello_message(q_secret.serial))
-    msg = hchan.recv()
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan.send(wire.hello_message(q_secret.serial))
+        msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
 
 
@@ -375,13 +378,12 @@ def test_fixed_policy_repeats_axes(rng):
     wrong = 1 - _perfect_sheet(secret)
     seen = []
     for _ in range(2):
-        hchan, thread, _ = _spawn_verifier(verifier)
-        hchan.send(wire.hello_message(secret.serial))
-        challenge = hchan.recv()
-        seen.append((challenge["question_id"], tuple(challenge["axes"])))
-        hchan.send(wire.answer_message(challenge["question_id"], wrong))
-        hchan.recv()
-        thread.join(timeout=5.0)
+        with _spawned_verifier(verifier.serve_one) as (hchan, _):
+            hchan.send(wire.hello_message(secret.serial))
+            challenge = hchan.recv()
+            seen.append((challenge["question_id"], tuple(challenge["axes"])))
+            hchan.send(wire.answer_message(challenge["question_id"], wrong))
+            hchan.recv()
     assert seen[0][1] == seen[1][1]
     assert seen[0][0] != seen[1][0]
 
@@ -391,13 +393,12 @@ def test_complementary_policy_flips_axes(rng):
     wrong = 1 - _perfect_sheet(secret)
     seen = []
     for _ in range(2):
-        hchan, thread, _ = _spawn_verifier(verifier)
-        hchan.send(wire.hello_message(secret.serial))
-        challenge = hchan.recv()
-        seen.append(tuple(challenge["axes"]))
-        hchan.send(wire.answer_message(challenge["question_id"], wrong))
-        hchan.recv()
-        thread.join(timeout=5.0)
+        with _spawned_verifier(verifier.serve_one) as (hchan, _):
+            hchan.send(wire.hello_message(secret.serial))
+            challenge = hchan.recv()
+            seen.append(tuple(challenge["axes"]))
+            hchan.send(wire.answer_message(challenge["question_id"], wrong))
+            hchan.recv()
     assert seen[1] == tuple("X" if a == "Z" else "Z" for a in seen[0])
 
 
@@ -410,29 +411,23 @@ def test_verifier_policy_validation(rng):
 def test_verifier_session_loops_until_hangup(rng, rng_factory):
     layout = CvLayout(2, 8, Fraction(3, 4))
     secret, token = cv_issue(layout, rng)
-    vchan, hchan = wire.LineChannel.pair()
-    result: list = []
-    thread = threading.Thread(
-        target=lambda: result.append(
-            verifier_session(secret, layout, "fixed", vchan, rng_factory(21))),
-        daemon=True)
-    thread.start()
-    # round 1: deliberately fail
-    hchan.send(wire.hello_message(secret.serial))
-    challenge = hchan.recv()
-    hchan.send(wire.answer_message(challenge["question_id"],
-                                   1 - _perfect_sheet(secret)))
-    v1 = hchan.recv()
-    assert not v1["accepted"]
-    # round 2: answer honestly and win
-    hchan.send(wire.hello_message(secret.serial))
-    challenge = hchan.recv()
-    hchan.send(wire.answer_message(challenge["question_id"],
-                                   _perfect_sheet(secret)))
-    v2 = hchan.recv()
-    assert v2["accepted"]
-    hchan.close()
-    thread.join(timeout=5.0)
+    session = lambda chan: O.verifier_session(secret, layout, "fixed", chan,
+                                              rng_factory(21))
+    with _spawned_verifier(session) as (hchan, result):
+        # round 1: deliberately fail
+        hchan.send(wire.hello_message(secret.serial))
+        challenge = hchan.recv()
+        hchan.send(wire.answer_message(challenge["question_id"],
+                                       1 - _perfect_sheet(secret)))
+        v1 = hchan.recv()
+        assert not v1["accepted"]
+        # round 2: answer honestly and win
+        hchan.send(wire.hello_message(secret.serial))
+        challenge = hchan.recv()
+        hchan.send(wire.answer_message(challenge["question_id"],
+                                       _perfect_sheet(secret)))
+        v2 = hchan.recv()
+        assert v2["accepted"]
     assert result[0] == v2
 
 
@@ -440,9 +435,8 @@ def test_run_holder_surfaces_errors(rng):
     layout = CvLayout(2, 4, Fraction(1, 2))
     secret, token = cv_issue(layout, rng)
     _, _, _, _, verifier = _fresh_setup(rng)
-    hchan, thread, _ = _spawn_verifier(verifier)
-    msg = run_holder(hchan, token, rng)
-    thread.join(timeout=5.0)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        msg = run_holder(hchan, token, rng)
     assert msg["type"] == "error" and msg["code"] == "unknown-serial"
 
 
@@ -476,8 +470,6 @@ def test_double_spend_report_shape(rng):
     assert report.trials == 50
     assert 0.0 <= report.rate <= 1.0
     assert 0.0 <= report.mean_pair_utility <= 1.0
-    rate, bound = tuple(report)
-    assert rate == report.rate and bound == report.bound
     # below the paired-token threshold the union bound is vacuous
     assert report.bound == 1.0
     with pytest.raises(ValueError):

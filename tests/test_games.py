@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from qtokens.core import tensor
 from qtokens.games import (IndexedEnsemble, MultiplexCheck, ProductWqrg,
                            SelectiveProjection, UtilityFunction, Wqrg,
                            build_cv_pair_games, mixed_question_value,
@@ -83,10 +82,10 @@ def test_explicit_measurements_saturate_single_axis_games():
     z0, z1 = O.ket_projector("Z+"), O.ket_projector("Z-")
     x0, x1 = O.ket_projector("X+"), O.ket_projector("X-")
     meas_z = SelectiveProjection({
-        f"{b1}{b2}": tensor((z0, z1)[b1], (z0, z1)[b2])
+        f"{b1}{b2}": np.kron((z0, z1)[b1], (z0, z1)[b2])
         for b1 in (0, 1) for b2 in (0, 1)})
     meas_x = SelectiveProjection({
-        f"{b1}{b2}": tensor((x0, x1)[b1], (x0, x1)[b2])
+        f"{b1}{b2}": np.kron((x0, x1)[b1], (x0, x1)[b2])
         for b1 in (0, 1) for b2 in (0, 1)})
     assert meas_z.is_physical(4) and meas_x.is_physical(4)
     assert abs(value_wrt_projection(GAMES.g_z, meas_z) - 1.0) < 1e-12

@@ -10,10 +10,11 @@ from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.bounds import soundness_bound
 from qtokens.channels import depolarizing, depolarizing_for_fidelity
 from qtokens.core import LABELS, PROJECTOR_STACK
-from qtokens.qticket import (CorrelatedPair, QticketSecret, TokenConsumedError,
-                             TokenInstance, Verifier, VerificationOutcome,
-                             VerifierPolicy, degrade, double_acceptance_exact,
-                             exact_honest_acceptance, issue, multicopy_issue, token_from_secret, verify)
+from qtokens.qticket import (QticketSecret, TokenConsumedError, TokenInstance,
+                             Verifier, VerificationOutcome, VerifierPolicy,
+                             degrade, double_acceptance_exact,
+                             exact_honest_acceptance, issue, multicopy_issue,
+                             token_from_secret, verify)
 from qtokens.store import SecretStore, UnknownSerialError
 
 import oracles as O
@@ -60,6 +61,28 @@ def test_token_from_secret_matches_issue(rng):
     again = token_from_secret(secret)
     np.testing.assert_array_equal(again.qubits, token.qubits)
     assert not again.consumed
+
+
+def _last_position(bad):
+    stack = np.broadcast_to(PROJECTOR_STACK[0], (8, 2, 2)).copy()
+    stack[-1] = bad
+    return stack
+
+
+@pytest.mark.parametrize("qubits", [
+    np.broadcast_to(np.eye(2), (8, 2, 2)),              # trace 2 everywhere
+    _last_position(np.eye(2)),                          # ... or at one position
+    np.broadcast_to(np.diag([1.5, -0.5]), (8, 2, 2)),   # negative eigenvalue
+    np.broadcast_to([[1.0, 0.5], [0.0, 0.0]], (8, 2, 2)),  # not Hermitian
+    np.asarray(None, dtype=complex),                   # a NaN scalar
+    np.full((8, 2, 2), np.nan),
+    np.zeros((0, 2, 2)),
+    np.broadcast_to(np.eye(4) / 4, (8, 4, 4)),
+], ids=["trace-2", "trace-2-last", "negative", "non-hermitian", "nan-scalar",
+        "nan-stack", "empty", "two-qubit"])
+def test_token_rejects_what_is_not_a_qubit_stack(qubits):
+    with pytest.raises(ValueError):
+        TokenInstance("s", qubits)
 
 
 # -- verification -----------------------------------------------------------
@@ -127,16 +150,6 @@ def test_degrade_sets_expected_fidelity(rng):
     out = degrade(token, depolarizing_for_fidelity(0.95))
     overlaps = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], out.qubits).real
     np.testing.assert_allclose(overlaps, 0.95, atol=1e-12)
-
-
-def test_degrade_rejects_correlated_counterfeit(rng):
-    secret, _ = issue(10, rng)
-    states = np.stack([O.cloner_output(O.ket_projector(O.LABEL_ORDER[i]))
-                       for i in secret.labels])
-    token = TokenInstance(secret.serial, None, pair=CorrelatedPair(states))
-    assert token.n_qubits == 10
-    with pytest.raises(ValueError):
-        degrade(token, depolarizing(0.1))
 
 
 # -- exact honest acceptance -------------------------------------------------
@@ -333,7 +346,7 @@ def test_correlated_pair_outcome_statistics(rng, rng_factory):
     states = np.stack([
         O.cloner_output(O.ket_projector(O.LABEL_ORDER[i])) for i in labels
     ])
-    pair = CorrelatedPair(states)
+    pair = O.CorrelatedPair(states)
     first = pair.outcome_bits(0, labels, rng_factory(11))
     second = pair.outcome_bits(1, labels, rng_factory(99))  # ignored: bits frozen
     counts = np.bincount(2 * (1 - first) + (1 - second), minlength=4)
@@ -348,7 +361,7 @@ def test_correlated_pair_bits_frozen_between_sides(rng, rng_factory):
     states = np.stack([
         O.cloner_output(O.ket_projector(O.LABEL_ORDER[i])) for i in labels
     ])
-    pair = CorrelatedPair(states, rng=rng_factory(5))
+    pair = O.CorrelatedPair(states, rng=rng_factory(5))
     a1 = pair.outcome_bits(0, labels, rng_factory(1))
     a2 = pair.outcome_bits(0, labels, rng_factory(2))
     np.testing.assert_array_equal(a1, a2)
@@ -360,18 +373,18 @@ def test_correlated_pair_token_verification(rng):
         O.cloner_output(O.ket_projector(O.LABEL_ORDER[i]))
         for i in secret.labels
     ])
-    pair = CorrelatedPair(states)
-    t0 = TokenInstance(secret.serial, None, pair=pair, side=0)
-    t1 = TokenInstance(secret.serial, None, pair=pair, side=1)
+    pair = O.CorrelatedPair(states)
+    t0 = O.CounterfeitHalf(secret.serial, pair, 0)
+    t1 = O.CounterfeitHalf(secret.serial, pair, 1)
     policy = POLICY(Fraction(3, 4), 60)
-    o0 = verify(secret, t0, policy, rng)
-    o1 = verify(secret, t1, policy, rng)
+    o0 = O.verify_half(secret, t0, policy, rng)
+    o1 = O.verify_half(secret, t1, policy, rng)
     assert o0.correct_count + o1.correct_count <= 2 * 60
     assert isinstance(o0, VerificationOutcome)
 
 
 def test_correlated_pair_validates_shape(rng):
     with pytest.raises(ValueError):
-        CorrelatedPair(np.zeros((4, 2, 2)))
+        O.CorrelatedPair(np.zeros((4, 2, 2)))
     with pytest.raises(ValueError):
-        TokenInstance("s", None, pair=None)
+        TokenInstance("s", None)
