@@ -8,7 +8,7 @@ from .bounds import (BoundReport, InsecureParametersError, chernoff_tail,
 from .channels import (QubitChannel, amplitude_damping, average_fidelity,
                        dephasing, depolarizing, depolarizing_for_fidelity,
                        identity_channel)
-from .core import LABELS, StateLabel
+from .core import LABELS
 from .attacks import (CV_ATTACKERS, PAIR_STRATEGIES, PairCloneStrategy,
                       PairOutcomeDist, pair_outcome_distribution,
                       sequential_attack_rate)

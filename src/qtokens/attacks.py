@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import BoundReport, learning_bound
-from .core import (I2, LABEL_INDEX, LABELS, PAULI_X, PAULI_Z, PROJECTOR_STACK,
-                   StateLabel)
+from .core import (AXIS_NAMES, I2, LABEL_AXES, PAULI_X, PAULI_Z,
+                   PROJECTOR_STACK)
 from .cv import (ChallengeQuestion, CvToken, honest_answer, measured_bit_zero,
                  sample_bits)
 from .qticket import joint_outcome_laws
@@ -121,10 +121,10 @@ def _label_outcome_laws(strategy: PairCloneStrategy) -> np.ndarray:
 
 
 def pair_outcome_distribution(strategy: PairCloneStrategy,
-                              label: StateLabel) -> PairOutcomeDist:
+                              label: int) -> PairOutcomeDist:
     """Exact four-way outcome distribution when both halves of a cloned
-    qubit prepared in ``label`` are verified against that label."""
-    dist = _label_outcome_laws(strategy)[LABEL_INDEX[label]]
+    qubit prepared in label index ``label`` are verified against it."""
+    dist = _label_outcome_laws(strategy)[label]
     return PairOutcomeDist(*(float(x) for x in dist))
 
 
@@ -136,8 +136,12 @@ def mixture_outcome_distribution(strategy: PairCloneStrategy) -> PairOutcomeDist
     return PairOutcomeDist(*(float(x) for x in dist))
 
 
+#: Trials sampled per multinomial draw in :func:`double_accept_mc`.
+MC_BATCH = 50_000
+
+
 def double_accept_mc(n_qubits: int, f_tol, dist: PairOutcomeDist, trials: int,
-                     rng: np.random.Generator, batch: int = 50_000) -> int:
+                     rng: np.random.Generator) -> int:
     """Count trials where both cloned halves reach the acceptance threshold,
     sampling per-position outcomes iid from ``dist``."""
     k_min = threshold_count(f_tol, n_qubits)
@@ -145,7 +149,7 @@ def double_accept_mc(n_qubits: int, f_tol, dist: PairOutcomeDist, trials: int,
     hits = 0
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(MC_BATCH, trials - done)
         counts = rng.multinomial(n_qubits, pvals, size=b)
         first = counts[:, 0] + counts[:, 1]
         second = counts[:, 0] + counts[:, 2]
@@ -199,7 +203,7 @@ def rate_resubmit_after_reject(n_qubits: int, k_min: int, n_verifiers: int,
     """Positions labelled on the Z axis survive the measure-reprepare step
     exactly; the rest collapse to Z eigenstates and score 1/2 independently
     at every verifier."""
-    p_axis = sum(1 for lab in LABELS if lab.axis == "Z") / len(LABELS)
+    p_axis = float(np.mean(LABEL_AXES == AXIS_NAMES.index("Z")))
     n_z = rng.binomial(n_qubits, p_axis, size=trials)
     rest = rng.binomial((n_qubits - n_z)[:, None], 0.5,
                         size=(trials, n_verifiers))

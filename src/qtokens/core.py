@@ -10,8 +10,6 @@ symmetric projector) is the workhorse fact behind the cloning analysis.
 """
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 ATOL_HERMITIAN = 1e-12
@@ -25,58 +23,34 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-class StateLabel(enum.Enum):
-    """Polarization eigenstates: axis in {X, Y, Z}, sign in {+, -}."""
+#: Measurement axes by code: 0 = Z, 1 = X, 2 = Y.
+AXIS_NAMES = ("Z", "X", "Y")
 
-    Z_PLUS = "Z+"
-    Z_MINUS = "Z-"
-    X_PLUS = "X+"
-    X_MINUS = "X-"
-    Y_PLUS = "Y+"
-    Y_MINUS = "Y-"
-
-    @property
-    def axis(self) -> str:
-        return self.value[0]
-
-    @property
-    def eigenbit(self) -> int:
-        """Reported bit for the state itself: '+' -> 0, '-' -> 1."""
-        return 0 if self.value[1] == "+" else 1
-
-    def __str__(self) -> str:  # JSON-facing spelling
-        return self.value
-
-
-LABELS: tuple[StateLabel, ...] = tuple(StateLabel)
-LABEL_INDEX: dict[StateLabel, int] = {lab: i for i, lab in enumerate(LABELS)}
+#: The six polarization eigenstates; a label is an index into this tuple,
+#: and the names are the labels' JSON spelling.  Label i lies on axis code
+#: i >> 1 with eigenbit i & 1 ('+' -> 0, '-' -> 1), so label i ^ 1 is its
+#: orthogonal partner.
+LABELS: tuple[str, ...] = tuple(a + s for a in AXIS_NAMES for s in "+-")
+LABEL_AXES = np.arange(len(LABELS), dtype=np.uint8) >> 1
+EIGENBITS = np.arange(len(LABELS), dtype=np.uint8) & 1
 
 _SQ = 1 / np.sqrt(2.0)
-KETS: dict[StateLabel, np.ndarray] = {
-    StateLabel.Z_PLUS: np.array([1, 0], dtype=complex),
-    StateLabel.Z_MINUS: np.array([0, 1], dtype=complex),
-    StateLabel.X_PLUS: np.array([_SQ, _SQ], dtype=complex),
-    StateLabel.X_MINUS: np.array([_SQ, -_SQ], dtype=complex),
-    StateLabel.Y_PLUS: np.array([_SQ, _SQ * 1j], dtype=complex),
-    StateLabel.Y_MINUS: np.array([_SQ, -_SQ * 1j], dtype=complex),
-}
+_KETS = np.array([[1, 0], [0, 1], [_SQ, _SQ], [_SQ, -_SQ],
+                  [_SQ, _SQ * 1j], [_SQ, -_SQ * 1j]], dtype=complex)
 
-#: (6, 2, 2) stack of projectors, indexed consistently with LABELS.
-PROJECTOR_STACK = np.stack([np.outer(KETS[lab], KETS[lab].conj()) for lab in LABELS])
-PROJECTOR_STACK.setflags(write=False)
+#: (6, 2, 2) stack of projectors, indexed like LABELS.  Built with np.outer
+#: per ket: an einsum outer product flips some imaginary -0.0 to 0.0, which
+#: would change the bytes of every token file.
+PROJECTOR_STACK = np.stack([np.outer(k, k.conj()) for k in _KETS])
 
-#: The eight two-qubit product states used by classically-verified tokens:
-#: one qubit is a Z eigenstate and the other an X eigenstate.
-CV_PAIR_LABELS: tuple[tuple[StateLabel, StateLabel], ...] = (
-    (StateLabel.Z_PLUS, StateLabel.X_PLUS),
-    (StateLabel.Z_PLUS, StateLabel.X_MINUS),
-    (StateLabel.Z_MINUS, StateLabel.X_PLUS),
-    (StateLabel.Z_MINUS, StateLabel.X_MINUS),
-    (StateLabel.X_PLUS, StateLabel.Z_PLUS),
-    (StateLabel.X_MINUS, StateLabel.Z_PLUS),
-    (StateLabel.X_PLUS, StateLabel.Z_MINUS),
-    (StateLabel.X_MINUS, StateLabel.Z_MINUS),
-)
+#: (8, 2) label indices of the two-qubit product states used by
+#: classically-verified tokens: one qubit is a Z eigenstate and the other an
+#: X eigenstate, in either order.
+CV_PAIRS = np.array([[0, 2], [0, 3], [1, 2], [1, 3],
+                     [2, 0], [3, 0], [2, 1], [3, 1]], dtype=np.uint8)
+
+for _table in (LABEL_AXES, EIGENBITS, PROJECTOR_STACK, CV_PAIRS):
+    _table.setflags(write=False)
 
 
 def partial_trace(m: np.ndarray, trace_out: int = 1) -> np.ndarray:

@@ -21,24 +21,18 @@ import numpy as np
 from .bounds import (BoundReport, InsecureParametersError, cv_security_bound,
                      cv_soundness_bound)
 from .channels import QubitChannel, average_fidelity, identity_channel
-from .core import (CV_PAIR_LABELS, LABEL_INDEX, LABELS, PROJECTOR_STACK,
-                   StateLabel, check_density_matrix)
+from .core import (AXIS_NAMES, CV_PAIRS, EIGENBITS, LABEL_AXES, LABELS,
+                   PROJECTOR_STACK, check_density_matrix)
 from .games import build_cv_pair_games, selective_value, threshold_game_bound
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
 from .store import SecretStore, UnknownSerialError, labels_from_strings
 from . import wire
 
-AXES = ("Z", "X")
+#: Challenge axes, in core axis-code order: an index into AXES is an axis code.
+AXES = AXIS_NAMES[:2]
 
-# label index -> axis code (0 = Z, 1 = X, 2 = Y) and eigenbit
-_AXIS_CODE6 = np.array([{"Z": 0, "X": 1, "Y": 2}[lab.axis] for lab in LABELS],
-                       dtype=np.uint8)
-_EIGENBIT6 = np.array([lab.eigenbit for lab in LABELS], dtype=np.uint8)
-_PAIR_TABLE = np.array([[LABEL_INDEX[a], LABEL_INDEX[b]] for a, b in CV_PAIR_LABELS],
-                       dtype=np.uint8)
-_PLUS_PROJECTORS = np.stack([PROJECTOR_STACK[LABEL_INDEX[StateLabel("Z+")]],
-                             PROJECTOR_STACK[LABEL_INDEX[StateLabel("X+")]]])
+_PLUS_PROJECTORS = PROJECTOR_STACK[[LABELS.index(a + "+") for a in AXES]]
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,8 @@ def _question_codes(question: ChallengeQuestion) -> np.ndarray:
 
 def measured_bit_zero(qubits: np.ndarray, codes) -> np.ndarray:
     """P[reported bit 0] when each qubit of a (..., 2, 2) stack is measured
-    along its asked axis code (0 = Z, 1 = X), broadcast over leading axes."""
+    along its asked axis code (an index into ``AXES``), broadcast over
+    leading axes."""
     return np.einsum("...ij,...ji->...", _PLUS_PROJECTORS[codes],
                      qubits).real.clip(0.0, 1.0)
 
@@ -136,13 +131,13 @@ def sample_bits(p_zero: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _scored(pairs: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Mask of the pair members whose preparation axis the block asked."""
-    return _AXIS_CODE6[pairs] == codes[..., None, None]
+    return LABEL_AXES[pairs] == codes[..., None, None]
 
 
 def _block_correct(pairs: np.ndarray, scored: np.ndarray,
                    bits: np.ndarray) -> np.ndarray:
     """Correct scored bits per block of (..., n, r, 2) label indices."""
-    return ((bits == _EIGENBIT6[pairs]) & scored).sum(axis=(-2, -1))
+    return ((bits == EIGENBITS[pairs]) & scored).sum(axis=(-2, -1))
 
 
 def cv_issue(layout: CvLayout, rng: np.random.Generator,
@@ -156,8 +151,8 @@ def cv_issue(layout: CvLayout, rng: np.random.Generator,
     usable structure.  Off by default; the label distribution is uniform
     either way.
     """
-    picks = rng.integers(0, len(_PAIR_TABLE), size=(layout.n_blocks, layout.block_size))
-    pairs = _PAIR_TABLE[picks]
+    picks = rng.integers(0, len(CV_PAIRS), size=(layout.n_blocks, layout.block_size))
+    pairs = CV_PAIRS[picks]
     if pauli_frame:
         flips = rng.integers(0, 2, size=pairs.shape, dtype=np.uint8)
         pairs = pairs ^ flips          # orthogonal partner lives at index^1
@@ -202,16 +197,9 @@ def honest_answer(token: CvToken, question: ChallengeQuestion,
 
 
 def score_answer(secret: CvSecret, question: ChallengeQuestion,
-                 answer: AnswerSheet | np.ndarray, layout: CvLayout) -> ScoreCard:
-    """Score the pair member whose preparation axis matches the question."""
-    if isinstance(answer, AnswerSheet):
-        if answer.question_id != question.question_id:
-            raise ValueError(
-                f"answer is for question {answer.question_id!r}, "
-                f"expected {question.question_id!r}")
-        outcomes = answer.outcomes
-    else:
-        outcomes = answer
+                 outcomes: np.ndarray, layout: CvLayout) -> ScoreCard:
+    """Score the pair member whose preparation axis matches the question,
+    given the (n, r, 2) reported bits."""
     outcomes = np.asarray(outcomes)
     n, r = layout.n_blocks, layout.block_size
     if outcomes.shape != (n, r, 2):
@@ -374,7 +362,7 @@ def _draw_rounds(layout: CvLayout, table: np.ndarray, b: int,
     of axis codes each, and one answer sheet per token whose bits follow
     ``table`` at the asked axis."""
     n, r = layout.n_blocks, layout.block_size
-    pairs = _PAIR_TABLE[rng.integers(0, len(_PAIR_TABLE), size=(b, n, r))]
+    pairs = CV_PAIRS[rng.integers(0, len(CV_PAIRS), size=(b, n, r))]
     codes = rng.integers(0, len(AXES), size=(b, n), dtype=np.uint8)
     bits = sample_bits(table[pairs, codes[:, :, None, None]], rng)
     return pairs, codes, bits

@@ -22,8 +22,8 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .bounds import chernoff_tail
-from .core import (CV_PAIR_LABELS, I2, PROJECTOR_STACK, LABEL_INDEX,
-                   check_density_matrix, partial_trace)
+from .core import (AXIS_NAMES, CV_PAIRS, EIGENBITS, I2, LABEL_AXES,
+                   PROJECTOR_STACK, check_density_matrix, partial_trace)
 
 RANK_TOLERANCE = 1e-9
 
@@ -205,26 +205,30 @@ def threshold_game_bound(block_values: Sequence[float], gamma: float) -> float:
 
 PAIR_ANSWERS = ("00", "01", "10", "11")
 
+#: Ensemble indices of the pair games: (first, second) label indices.
+_PAIRS: tuple[tuple[int, int], ...] = tuple(map(tuple, CV_PAIRS.tolist()))
+
 
 def _axis_utility(axis: str) -> Callable[[tuple, str], float]:
+    code = AXIS_NAMES.index(axis)
+
     def sigma(s: tuple, a: str) -> float:
         l1, l2 = s
-        if l1.axis == axis:
-            return float(int(a[0]) == l1.eigenbit)
-        return float(int(a[1]) == l2.eigenbit)
+        if LABEL_AXES[l1] == code:
+            return float(int(a[0]) == EIGENBITS[l1])
+        return float(int(a[1]) == EIGENBITS[l2])
     return sigma
 
 
 def _pair_ensemble() -> IndexedEnsemble:
-    states = tuple(
-        np.kron(PROJECTOR_STACK[LABEL_INDEX[l1]], PROJECTOR_STACK[LABEL_INDEX[l2]])
-        for l1, l2 in CV_PAIR_LABELS)
-    return IndexedEnsemble(CV_PAIR_LABELS, (1.0 / 8.0,) * 8, states)
+    states = tuple(np.kron(PROJECTOR_STACK[l1], PROJECTOR_STACK[l2])
+                   for l1, l2 in _PAIRS)
+    return IndexedEnsemble(_PAIRS, (1.0 / 8.0,) * 8, states)
 
 
 def _single_axis_game(axis: str) -> Wqrg:
     sigma = _axis_utility(axis)
-    table = {(s, a): sigma(s, a) for s in CV_PAIR_LABELS for a in PAIR_ANSWERS}
+    table = {(s, a): sigma(s, a) for s in _PAIRS for a in PAIR_ANSWERS}
     return Wqrg(_pair_ensemble(), UtilityFunction(PAIR_ANSWERS, table))
 
 
@@ -232,7 +236,7 @@ def _two_answer_game(combine: Callable[[float, float], float]) -> Wqrg:
     sx, sz = _axis_utility("X"), _axis_utility("Z")
     answers = tuple((ax, az) for ax in PAIR_ANSWERS for az in PAIR_ANSWERS)
     table = {(s, (ax, az)): combine(sx(s, ax), sz(s, az))
-             for s in CV_PAIR_LABELS for ax, az in answers}
+             for s in _PAIRS for ax, az in answers}
     return Wqrg(_pair_ensemble(), UtilityFunction(answers, table))
 
 
@@ -260,7 +264,7 @@ def repeated_question_game(axis: str = "Z") -> Wqrg:
     sigma = _axis_utility(axis)
     answers = tuple((a1, a2) for a1 in PAIR_ANSWERS for a2 in PAIR_ANSWERS)
     table = {(s, (a1, a2)): (sigma(s, a1) + sigma(s, a2)) / 2.0
-             for s in CV_PAIR_LABELS for a1, a2 in answers}
+             for s in _PAIRS for a1, a2 in answers}
     return Wqrg(_pair_ensemble(), UtilityFunction(answers, table))
 
 

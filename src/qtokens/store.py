@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import LABELS, LABEL_INDEX, StateLabel
+from .core import LABELS
 from .rational import as_fraction
 
 STORE_VERSION = 1
@@ -75,7 +75,7 @@ class SecretStore:
                 raise ValueError(f"serial {serial} already present")
             self._records[serial] = {
                 "serial": serial,
-                "labels": [LABELS[i].value for i in np.asarray(labels)],
+                "labels": [LABELS[i] for i in np.asarray(labels)],
                 "f_tol": _fraction_str(as_fraction(f_tol)),
                 "issued_copies": int(issued_copies),
                 "accepted_count": 0,
@@ -84,8 +84,7 @@ class SecretStore:
     def add_cv(self, serial: str, n: int, r: int, f_tol: Fraction,
                pairs: np.ndarray) -> None:
         """``pairs``: (n, r, 2) array of label indices."""
-        flat = [[LABELS[a].value, LABELS[b].value]
-                for a, b in np.asarray(pairs).reshape(-1, 2)]
+        flat = [[LABELS[a], LABELS[b]] for a, b in np.asarray(pairs).reshape(-1, 2)]
         with self._lock:
             if serial in self._records:
                 raise ValueError(f"serial {serial} already present")
@@ -104,12 +103,6 @@ class SecretStore:
             return self._records[serial]
         except KeyError:
             raise UnknownSerialError(f"unknown-serial: {serial}") from None
-
-    def __contains__(self, serial: str) -> bool:
-        return serial in self._records
-
-    def serials(self) -> list[str]:
-        return list(self._records)
 
     # -- accounting ------------------------------------------------------
     def try_accept(self, serial: str) -> bool:
@@ -155,6 +148,8 @@ def _encode_stack(stack: np.ndarray) -> list:
 
 def _decode_stack(payload: list) -> np.ndarray:
     arr = np.asarray(payload, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"entries must be [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -173,10 +168,21 @@ def read_token(path: str | os.PathLike) -> tuple[str, str, np.ndarray]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        return data["kind"], data["serial"], _decode_stack(data["qubits"])
-    except (KeyError, TypeError) as exc:
+        kind, serial = data["kind"], data["serial"]
+        if not (isinstance(kind, str) and isinstance(serial, str)):
+            raise TypeError("kind and serial must be strings")
+        return kind, serial, _decode_stack(data["qubits"])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed token file {path}: {exc}") from exc
 
 
+_LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
+
+
 def labels_from_strings(strings: list[str]) -> np.ndarray:
-    return np.array([LABEL_INDEX[StateLabel(s)] for s in strings], dtype=np.uint8)
+    """Label names (their JSON spelling) -> uint8 label indices."""
+    try:
+        return np.fromiter((_LABEL_CODES[s] for s in strings), dtype=np.uint8,
+                           count=len(strings))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"unknown label {exc}") from None

@@ -68,7 +68,8 @@ def test_01_retrieval_game_constants():
 def test_02_universal_cloner_statistics():
     strategy = PAIR_STRATEGIES["universal-cloner"]
     target = (2 / 3, 1 / 6, 1 / 6, 0.0)
-    dists = [tuple(pair_outcome_distribution(strategy, lab)) for lab in LABELS]
+    dists = [tuple(pair_outcome_distribution(strategy, lab))
+             for lab in range(len(LABELS))]
     errs = [max(abs(a - b) for a, b in zip(d, target)) for d in dists]
     spread = max(max(abs(a - b) for a, b in zip(d, dists[0])) for d in dists)
     # independent route: raw 4x4 trace arithmetic on the cloner's output
@@ -76,7 +77,7 @@ def test_02_universal_cloner_statistics():
     for name in O.LABEL_ORDER:
         ora = O.pair_joint_dist(O.cloner_output(O.ket_projector(name)), name)
         oracle_err = max(oracle_err, max(abs(a - b) for a, b in zip(ora, target)))
-    marginal = pair_outcome_distribution(strategy, LABELS[0]).first_marginal
+    marginal = pair_outcome_distribution(strategy, 0).first_marginal
     ok = (max(errs) < 1e-12 and spread < 1e-12 and oracle_err < 1e-12
           and abs(marginal - 5 / 6) < 1e-12)
     _report("accept-02", ok,

@@ -39,7 +39,7 @@ REFERENCE_MAPS = {
 
 def test_cloner_distribution_every_label():
     dists = []
-    for lab, name in zip(LABELS, O.LABEL_ORDER):
+    for lab, name in enumerate(O.LABEL_ORDER):
         got = np.array(pair_outcome_distribution(UNIVERSAL_CLONER, lab))
         want = np.array(O.pair_joint_dist(
             O.cloner_output(O.ket_projector(name)), name))
@@ -51,7 +51,7 @@ def test_cloner_distribution_every_label():
 
 def test_measure_reprepare_distribution_per_label():
     plus_z = O.ket_projector("Z+")
-    for lab, name in zip(LABELS, O.LABEL_ORDER):
+    for lab, name in enumerate(O.LABEL_ORDER):
         got = np.array(pair_outcome_distribution(MEASURE_REPREPARE_Z, lab))
         want = np.array(O.pair_joint_dist(
             O.measure_reprepare_output(O.ket_projector(name), plus_z), name))
@@ -64,7 +64,7 @@ def test_measure_reprepare_distribution_per_label():
 
 def test_intermediate_basis_distribution_per_label():
     basis = O.intermediate_plus_projector()
-    for lab, name in zip(LABELS, O.LABEL_ORDER):
+    for lab, name in enumerate(O.LABEL_ORDER):
         got = np.array(pair_outcome_distribution(INTERMEDIATE_BASIS, lab))
         want = np.array(O.pair_joint_dist(
             O.measure_reprepare_output(O.ket_projector(name), basis), name))
@@ -84,7 +84,7 @@ def test_mixture_distributions():
         got = np.array(mixture_outcome_distribution(strat))
         np.testing.assert_allclose(got, MIXTURE, atol=1e-12)
         per_label = np.array([pair_outcome_distribution(strat, lab)
-                              for lab in LABELS])
+                              for lab in range(len(LABELS))])
         np.testing.assert_allclose(got, per_label.mean(axis=0), atol=1e-15)
 
 

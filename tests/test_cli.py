@@ -18,7 +18,7 @@ from qtokens.cli import ExperimentConfig, sweep_rows
 from qtokens.qticket import double_acceptance_exact
 from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.rng import default_seed
-from qtokens.store import SecretStore, write_token
+from qtokens.store import SecretStore, UnknownSerialError, write_token
 
 
 # -- sweep ------------------------------------------------------------------
@@ -144,7 +144,8 @@ def test_verify_unknown_serial_is_protocol_failure(tmp_path, capsys):
     other = tmp_path / "other"
     other.mkdir()
     _, stray_token, stray_serial = _issue_qticket(other, capsys, seed=99)
-    assert stray_serial not in SecretStore(store)
+    with pytest.raises(UnknownSerialError):
+        SecretStore(store).get(stray_serial)
     rc = cli.main(["verify", "--store", store, "--token", stray_token])
     assert rc == cli.EXIT_PROTOCOL
     assert "unknown-serial" in capsys.readouterr().err
@@ -167,6 +168,30 @@ def test_verify_refuses_forged_qubits(tmp_path, capsys, forged):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["accepted"] is True
     assert SecretStore(store).get(serial)["accepted_count"] == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("qubits", [[1]]),
+    ("qubits", [[["a", "b"]]]),
+    ("qubits", [[1, 2, 3]]),
+    ("serial", ["x"]),
+    ("serial", 5),
+    ("serial", None),
+], ids=["qubits-scalar-entry", "qubits-strings", "qubits-triple",
+        "serial-list", "serial-int", "serial-null"])
+def test_verify_refuses_malformed_token_file(tmp_path, capsys, field, value):
+    store, token, serial = _issue_qticket(tmp_path, capsys, N=64)
+    payload = json.loads(Path(token).read_text())
+    payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = cli.main(["verify", "--store", store, "--token", str(bad), "--seed", "1"])
+    assert rc == cli.EXIT_USAGE
+    assert "malformed token file" in capsys.readouterr().err
+    assert SecretStore(store).get(serial)["accepted_count"] == 0
+    rc = cli.main(["verify", "--store", store, "--token", token, "--seed", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
 
 
 def test_verify_refuses_paired_token_kind(tmp_path, capsys):
@@ -375,6 +400,15 @@ def test_demo_connect_dead_port_is_protocol_failure(tmp_path, capsys):
     rc = cli.main(["cv-demo", "--connect", f"127.0.0.1:{dead_port}",
                    "--token", token, "--quiet"])
     assert rc == cli.EXIT_PROTOCOL
+    # a malformed token file is refused before any connection is tried
+    payload = json.loads(Path(token).read_text())
+    payload["serial"] = ["x"]
+    Path(token).write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = cli.main(["cv-demo", "--connect", f"127.0.0.1:{dead_port}",
+                   "--token", token, "--quiet"])
+    assert rc == cli.EXIT_USAGE
+    assert "malformed token file" in capsys.readouterr().err
 
 
 def _start_listener(store: str, seed: int) -> tuple[subprocess.Popen, int]:

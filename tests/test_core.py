@@ -2,27 +2,30 @@
 import numpy as np
 import pytest
 
-from qtokens.core import (CV_PAIR_LABELS, LABELS, PROJECTOR_STACK,
-                          check_density_matrix, partial_trace)
+from qtokens.core import (AXIS_NAMES, CV_PAIRS, EIGENBITS, LABEL_AXES, LABELS,
+                          PROJECTOR_STACK, check_density_matrix, partial_trace)
 from qtokens.qticket import joint_outcome_laws
 
 import oracles as O
 
 
 def test_label_order_and_partner():
-    assert tuple(l.value for l in LABELS) == O.LABEL_ORDER
-    for i, lab in enumerate(LABELS):
-        partner = LABELS[i ^ 1]
-        assert partner.axis == lab.axis
-        assert partner.eigenbit == 1 - lab.eigenbit
+    assert LABELS == O.LABEL_ORDER
+    assert AXIS_NAMES == ("Z", "X", "Y")
+    for i, name in enumerate(O.LABEL_ORDER):
+        # the index tables agree with the oracle's spelling of each label
+        assert AXIS_NAMES[LABEL_AXES[i]] == name[0]
+        assert EIGENBITS[i] == (name[1] == "-")
+        partner = O.LABEL_ORDER[i ^ 1]
+        assert partner[0] == name[0] and partner[1] != name[1]
         # axis partners are orthogonal
         overlap = np.trace(PROJECTOR_STACK[i] @ PROJECTOR_STACK[i ^ 1]).real
         assert abs(overlap) < 1e-14
 
 
 def test_projectors_match_reference_kets():
-    for lab, proj in zip(LABELS, PROJECTOR_STACK):
-        np.testing.assert_allclose(proj, O.ket_projector(lab.value), atol=1e-15)
+    for name, proj in zip(LABELS, PROJECTOR_STACK):
+        np.testing.assert_allclose(proj, O.ket_projector(name), atol=1e-15)
     np.testing.assert_allclose(PROJECTOR_STACK,
                                np.stack([O.ket_projector(n) for n in O.LABEL_ORDER]),
                                atol=1e-15)
@@ -132,9 +135,16 @@ def test_random_pure_state_properties(rng):
 
 
 def test_cv_pair_labels_cover_all_ordered_zx_pairs():
-    assert len(CV_PAIR_LABELS) == 8
+    assert CV_PAIRS.shape == (8, 2) and CV_PAIRS.dtype == np.uint8
     seen = set()
-    for a, b in CV_PAIR_LABELS:
-        assert {a.axis, b.axis} == {"Z", "X"}
-        seen.add((a.value, b.value))
+    for a, b in CV_PAIRS:
+        first, second = O.LABEL_ORDER[a], O.LABEL_ORDER[b]
+        assert {first[0], second[0]} == {"Z", "X"}
+        seen.add((first, second))
     assert len(seen) == 8
+
+
+def test_label_tables_are_read_only():
+    for table in (LABEL_AXES, EIGENBITS, PROJECTOR_STACK, CV_PAIRS):
+        with pytest.raises(ValueError):
+            table[0] = 0

@@ -23,7 +23,8 @@ def test_qticket_record_schema():
     assert rec["labels"] == ["Z+", "Z-", "X+", "X-", "Y+", "Y-"]
     assert rec["f_tol"] == "5/6"
     assert rec["issued_copies"] == 3 and rec["accepted_count"] == 0
-    assert "serial-a" in store and store.serials() == ["serial-a"]
+    with pytest.raises(UnknownSerialError):
+        store.get("serial-b")
 
 
 def test_cv_record_schema():
@@ -167,5 +168,6 @@ def test_labels_from_strings_round_trip():
     idx = labels_from_strings(["Z+", "Y-", "X+"])
     assert idx.dtype == np.uint8
     np.testing.assert_array_equal(idx, [0, 5, 2])
-    with pytest.raises(Exception):
-        labels_from_strings(["Q+"])
+    for bad in (["Q+"], ["Z+", "Q+"], [None], [["Z+"]]):
+        with pytest.raises(ValueError):
+            labels_from_strings(bad)
