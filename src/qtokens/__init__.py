@@ -4,7 +4,8 @@ from .bounds import (BoundReport, InsecureParametersError, chernoff_tail,
                      cv_security_bound, cv_soundness_bound,
                      hoeffding_rejection, learning_bound,
                      multicopy_security_bound, multicopy_threshold,
-                     relative_entropy, security_bound, soundness_bound)
+                     relative_entropy, security_bound, soundness_bound,
+                     threshold_game_bound)
 from .channels import (QubitChannel, amplitude_damping, average_fidelity,
                        dephasing, depolarizing, depolarizing_for_fidelity,
                        identity_channel)
@@ -16,8 +17,7 @@ from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
                  CvVerifier, ScoreCard, cv_issue, double_spend_experiment,
                  honest_answer, honest_protocol_experiment, run_holder,
                  score_answer)
-from .games import (Wqrg, build_cv_pair_games, selective_value,
-                    tensor_product, threshold_game_bound, value_wrt_projection)
+from .games import Wqrg, build_cv_pair_games, selective_value
 from .qticket import (QticketSecret, TokenConsumedError, TokenInstance,
                       Verifier, VerificationOutcome, VerifierPolicy,
                       double_acceptance_exact, exact_honest_acceptance, degrade,

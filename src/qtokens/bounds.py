@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from .rational import as_fraction
 
@@ -69,6 +71,16 @@ def chernoff_tail(n: int, gamma: float, delta: float) -> float:
     if not 0.0 <= delta <= gamma <= 1.0:
         raise ValueError(f"need 0 <= delta <= gamma <= 1, got gamma={gamma}, delta={delta}")
     return math.exp(-n * relative_entropy(gamma, delta))
+
+
+def threshold_game_bound(block_values: Sequence[float], gamma: float) -> float:
+    """Bound 2 e^{-n D(gamma||delta)} on the selective value of the game that
+    pays out when at least a gamma fraction of n blocks are answered well;
+    delta is the mean of the given per-block values."""
+    n = len(block_values)
+    if n < 1:
+        raise ValueError("need at least one block value")
+    return 2.0 * chernoff_tail(n, gamma, float(np.mean(block_values)))
 
 
 def _exp_neg(scale: int, rate: float) -> float:

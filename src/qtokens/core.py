@@ -53,19 +53,6 @@ for _table in (LABEL_AXES, EIGENBITS, PROJECTOR_STACK, CV_PAIRS):
     _table.setflags(write=False)
 
 
-def partial_trace(m: np.ndarray, trace_out: int = 1) -> np.ndarray:
-    """Trace a 4x4 operator down to 2x2 over factor 0 (first) or 1 (second)."""
-    m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got {m.shape}")
-    if trace_out not in (0, 1):
-        raise ValueError("trace_out must be 0 or 1")
-    t = m.reshape(2, 2, 2, 2)
-    if trace_out == 1:
-        return np.einsum("ikjk->ij", t)
-    return np.einsum("kikj->ij", t)
-
-
 def check_density_matrix(m: np.ndarray, *, name: str = "state") -> np.ndarray:
     """Validate a (..., d, d) stack of density matrices with d in {2, 4} in
     one vectorised pass; returns the array (as complex) unchanged.

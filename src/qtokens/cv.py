@@ -19,11 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import (BoundReport, InsecureParametersError, cv_security_bound,
-                     cv_soundness_bound)
+                     cv_soundness_bound, threshold_game_bound)
 from .channels import QubitChannel, average_fidelity, identity_channel
 from .core import (AXIS_NAMES, CV_PAIRS, EIGENBITS, LABEL_AXES, LABELS,
                    PROJECTOR_STACK, check_density_matrix)
-from .games import build_cv_pair_games, selective_value, threshold_game_bound
+from .games import build_cv_pair_games, selective_value
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
 from .store import SecretStore, UnknownSerialError, labels_from_strings
@@ -141,21 +141,10 @@ def _block_correct(pairs: np.ndarray, scored: np.ndarray,
 
 
 def cv_issue(layout: CvLayout, rng: np.random.Generator,
-             serial: str | None = None, *,
-             pauli_frame: bool = False) -> tuple[CvSecret, CvToken]:
-    """Draw one of the eight ordered Z/X pair preparations per position.
-
-    With ``pauli_frame`` the issuer additionally flips each qubit to the
-    orthogonal state of its axis with probability 1/2 and records the
-    flipped labels, so conditional states under axis-biased noise carry no
-    usable structure.  Off by default; the label distribution is uniform
-    either way.
-    """
+             serial: str | None = None) -> tuple[CvSecret, CvToken]:
+    """Draw one of the eight ordered Z/X pair preparations per position."""
     picks = rng.integers(0, len(CV_PAIRS), size=(layout.n_blocks, layout.block_size))
     pairs = CV_PAIRS[picks]
-    if pauli_frame:
-        flips = rng.integers(0, 2, size=pairs.shape, dtype=np.uint8)
-        pairs = pairs ^ flips          # orthogonal partner lives at index^1
     qubits = PROJECTOR_STACK[pairs].copy()
     serial = serial if serial is not None else new_serial(rng)
     return CvSecret(serial, pairs), CvToken(serial, qubits)

@@ -39,6 +39,22 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_COMMON_FIELDS = {"serial": str, "f_tol": str, "accepted_count": int}
+_QTICKET_FIELDS = {"labels": list, "issued_copies": int}
+_CV_FIELDS = {"n": int, "r": int, "pairs": list, "attempts": int}
+
+
+def _has_fields(rec: dict, fields: dict[str, type]) -> bool:
+    # exact type match: JSON true/false must not pass for an int
+    return all(type(rec.get(key)) is kind for key, kind in fields.items())
+
+
+def _valid_record(rec: Any) -> bool:
+    """True for a measured-token or a paired-token record of the layout above."""
+    return (isinstance(rec, dict) and _has_fields(rec, _COMMON_FIELDS)
+            and (_has_fields(rec, _QTICKET_FIELDS) or _has_fields(rec, _CV_FIELDS)))
+
+
 class SecretStore:
     """In-memory mirror of the JSON store, optionally bound to a path."""
 
@@ -53,9 +69,16 @@ class SecretStore:
     def load(self) -> None:
         with open(self.path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed store file {self.path}: not a JSON object")
         if data.get("version") != STORE_VERSION:
-            raise ValueError(f"unsupported store version {data.get('version')!r}")
-        self._records = {rec["serial"]: rec for rec in data["serials"]}
+            raise ValueError(f"unsupported store version {data.get('version')!r} "
+                             f"in {self.path}")
+        serials = data.get("serials")
+        if not isinstance(serials, list) or not all(map(_valid_record, serials)):
+            raise ValueError(f"malformed store file {self.path}: "
+                             "expected a 'serials' list of version-1 records")
+        self._records = {rec["serial"]: rec for rec in serials}
 
     def save(self) -> None:
         if self.path is None:

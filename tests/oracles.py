@@ -5,6 +5,10 @@ The numeric oracles are rebuilt from scratch: explicit ket vectors, literal
 sums, and high-precision mpmath evaluation.  None of them uses the package,
 so agreement is a genuine two-route check rather than a tautology.
 
+The retrieval-game references (witness, value of a projection, products,
+restriction, multiplexed measurements) read a package game's arrays but
+rebuild each operator one state at a time.
+
 The object-level references at the end run attacks one trial at a time
 through the package's per-object API (issue, verify, answer, score_answer),
 the route the batched estimators replace.  Counterfeits are an oracle of
@@ -27,9 +31,10 @@ import mpmath
 import numpy as np
 
 from qtokens.attacks import UNIVERSAL_CLONER
-from qtokens.core import LABELS, PROJECTOR_STACK
+from qtokens.core import LABELS, PROJECTOR_STACK, check_density_matrix
 from qtokens.cv import (CvVerifier, complement_question, cv_issue,
                         random_question, register, score_answer)
+from qtokens.games import Wqrg
 from qtokens.qticket import (TokenConsumedError, TokenInstance,
                              VerificationOutcome, token_from_secret, verify)
 from qtokens.rational import threshold_count
@@ -365,6 +370,138 @@ def honest_acceptance_mc(fidelities, f_tol, trials: int,
         hits += int((counts >= k_min).sum())
         done += b
     return hits
+
+
+# ---------------------------------------------------------------------------
+# Retrieval-game references.  They read a game's arrays (states, weights,
+# utility, answers) but rebuild every operator with explicit per-state loops,
+# np.kron and literal partial traces, so they are a second route to what
+# ``qtokens.games.selective_value`` computes in one batched pass.
+
+#: The eight ordered Z/X pairs of classically-verified tokens, by name.
+ZX_PAIRS = tuple((a, b) for z, x in product(("Z+", "Z-"), ("X+", "X-"))
+                 for a, b in ((z, x), (x, z)))
+
+
+def pair_axis_utility(pair: tuple[str, str], axis: str, answer: str) -> float:
+    """Answer "b1b2" to a question on ``axis`` pays iff the member of
+    ``pair`` prepared on that axis has eigenbit b ('+' is 0) at its
+    position."""
+    pos = 0 if pair[0][0] == axis else 1
+    return float(int(answer[pos]) == "+-".index(pair[pos][1]))
+
+
+def partial_trace(m: np.ndarray, trace_out: int = 1) -> np.ndarray:
+    """Trace a 4x4 operator down to 2x2 over factor 0 (first) or 1 (second)."""
+    t = np.asarray(m).reshape(2, 2, 2, 2)
+    if trace_out == 1:
+        return sum(t[:, k, :, k] for k in range(2))
+    return sum(t[k, :, k, :] for k in range(2))
+
+
+@dataclass(frozen=True, eq=False)
+class SelectiveProjection:
+    """Answer -> positive semidefinite operator.  Physical (complete)
+    strategies additionally sum to the identity."""
+
+    operators: dict
+
+    def is_physical(self, dim: int, atol: float = 1e-10) -> bool:
+        total = sum(self.operators.values())
+        return bool(np.max(np.abs(total - np.eye(dim))) <= atol)
+
+
+def value_wrt_projection(game, projection: SelectiveProjection) -> float:
+    """Expected utility of the induced distribution p(s, a) ~ Tr[P(a) p_s rho_s]."""
+    num = 0.0
+    den = 0.0
+    for answer, op in projection.operators.items():
+        col = game.answers.index(answer)
+        for s in range(len(game.weights)):
+            mass = float(np.trace(op @ (game.weights[s] * game.states[s])).real)
+            num += game.utility[s, col] * mass
+            den += mass
+    if den <= 1e-15:
+        raise ValueError("projection assigns zero mass to the ensemble")
+    return num / den
+
+
+def top_eigenspace_witness(game, answer) -> SelectiveProjection:
+    """The selective projection rho^{-1/2} Pi rho^{-1/2} onto the top
+    eigenspace Pi of ``answer``'s operator O(a), built one state at a time."""
+    col = game.answers.index(answer)
+    reduced = sum(w * st for w, st in zip(game.weights, game.states))
+    eigs, vecs = np.linalg.eigh(reduced)
+    rinv = (vecs * (eigs ** -0.5)) @ vecs.conj().T
+    o = sum(game.utility[s, col] * game.weights[s] * game.states[s]
+            for s in range(len(game.weights)))
+    eigs, vecs = np.linalg.eigh(rinv @ o @ rinv)
+    top = vecs[:, eigs >= eigs[-1] - 1e-9 * max(1.0, abs(eigs[-1]))]
+    return SelectiveProjection({answer: rinv @ top @ top.conj().T @ rinv})
+
+
+def tensor_product(g1, g2):
+    """Product game: states rho_s (x) rho_t, weights p_s q_t, utilities
+    u1(s, a) u2(t, b) and answers (a, b), all in row-major (s, t) order."""
+    states = np.stack([np.kron(r1, r2) for r1 in g1.states for r2 in g2.states])
+    weights = np.array([w1 * w2 for w1 in g1.weights for w2 in g2.weights])
+    utility = np.array([[u1 * u2 for u1 in row1 for u2 in row2]
+                        for row1 in g1.utility for row2 in g2.utility])
+    answers = tuple((a1, a2) for a1 in g1.answers for a2 in g2.answers)
+    return Wqrg(states, weights, utility, answers)
+
+
+def restrict_projection(projection: SelectiveProjection, other_state: np.ndarray,
+                        keep: int = 0) -> SelectiveProjection:
+    """Marginalize a two-qubit projection with paired answers (a1, a2) down
+    to the kept factor, weighting the discarded factor by its reduced state."""
+    ops: dict = {}
+    for (a1, a2), op in projection.operators.items():
+        if keep == 0:
+            key, reduced = a1, partial_trace(op @ np.kron(ID2, other_state), trace_out=1)
+        else:
+            key, reduced = a2, partial_trace(op @ np.kron(other_state, ID2), trace_out=0)
+        ops[key] = ops.get(key, np.zeros((2, 2), dtype=complex)) + reduced
+    return SelectiveProjection(ops)
+
+
+@dataclass(frozen=True)
+class MultiplexCheck:
+    epsilon: float
+    min_joint_success: float
+    bound: float
+    holds: bool
+
+
+def multiplex_sequential_check(states: dict, pa, pb) -> MultiplexCheck:
+    """Verify that two almost-perfectly-distinguishing projective
+    measurements applied in sequence (first, second, first again) still
+    succeed jointly: min success >= 1 - 2 eps - 2 sqrt(eps).
+
+    ``states`` maps (alpha, beta) cells to density matrices; ``pa``/``pb``
+    are the binary projector families indexed by alpha and beta.  eps is the
+    largest shortfall of either measurement identifying its own index.
+    """
+    for fam, name in ((pa, "pa"), (pb, "pb")):
+        total = sum(np.asarray(p, dtype=complex) for p in fam)
+        if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
+            raise ValueError(f"{name} does not sum to the identity")
+        for p in fam:
+            p = np.asarray(p, dtype=complex)
+            if np.max(np.abs(p - p.conj().T)) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-10:
+                raise ValueError(f"{name} contains a non-projector element")
+
+    epsilon = 0.0
+    min_joint = 1.0
+    for (alpha, beta), rho in states.items():
+        rho = check_density_matrix(np.asarray(rho, dtype=complex), name=f"cell {(alpha, beta)}")
+        pa_ok = float(np.trace(pa[alpha] @ rho).real)
+        pb_ok = float(np.trace(pb[beta] @ rho).real)
+        epsilon = max(epsilon, 1.0 - pa_ok, 1.0 - pb_ok, 0.0)
+        joint = float(np.trace(pa[alpha] @ pb[beta] @ pa[alpha] @ rho).real)
+        min_joint = min(min_joint, joint)
+    bound = 1.0 - 2.0 * epsilon - 2.0 * math.sqrt(epsilon)
+    return MultiplexCheck(epsilon, min_joint, bound, min_joint >= bound - 1e-12)
 
 
 # ---------------------------------------------------------------------------

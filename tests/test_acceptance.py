@@ -25,9 +25,7 @@ from qtokens.channels import depolarizing_for_fidelity
 from qtokens.cli import ExperimentConfig, cmd_sweep_double_accept
 from qtokens.core import LABELS, PROJECTOR_STACK
 from qtokens.cv import CvLayout, double_spend_experiment, honest_protocol_experiment
-from qtokens.games import (IndexedEnsemble, SelectiveProjection, UtilityFunction,
-                           Wqrg, build_cv_pair_games, multiplex_sequential_check,
-                           selective_value, tensor_product, value_wrt_projection)
+from qtokens.games import Wqrg, build_cv_pair_games, selective_value
 from qtokens.qticket import double_acceptance_exact, exact_honest_acceptance
 from qtokens.rational import threshold_count
 from qtokens.rng import root_rng
@@ -209,15 +207,11 @@ def _random_density(rng, dim=2):
 
 
 def _random_game(rng, n_states=3, n_answers=3):
-    states = tuple(_random_density(rng) for _ in range(n_states))
+    states = np.stack([_random_density(rng) for _ in range(n_states)])
     w = rng.random(n_states) + 0.2
     w /= w.sum()
     answers = tuple(f"a{i}" for i in range(n_answers))
-    table = {(i, a): float(rng.random())
-             for i in range(n_states) for a in answers}
-    ens = IndexedEnsemble(tuple(range(n_states)), tuple(float(x) for x in w),
-                          states)
-    return Wqrg(ens, UtilityFunction(answers, table))
+    return Wqrg(states, w, rng.random((n_states, n_answers)), answers)
 
 
 def _random_povm(rng, dim, n_elements):
@@ -239,7 +233,7 @@ def test_06_game_calculus_properties():
         g1 = _random_game(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
         g2 = _random_game(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
         v1, v2 = selective_value(g1).value, selective_value(g2).value
-        v12 = selective_value(tensor_product(g1, g2)).value
+        v12 = selective_value(O.tensor_product(g1, g2)).value
         mult_err = max(mult_err, abs(v12 - v1 * v2) / max(1.0, v1 * v2))
     if mult_err >= 1e-8:
         failures.append(f"multiplicativity off by {mult_err:.2e}")
@@ -250,7 +244,8 @@ def test_06_game_calculus_properties():
     pool += [_random_game(rng) for _ in range(20)]
     for g in pool:
         res = selective_value(g)
-        ach_err = max(ach_err, abs(value_wrt_projection(g, res.witness) - res.value))
+        witness = O.top_eigenspace_witness(g, res.answer)
+        ach_err = max(ach_err, abs(O.value_wrt_projection(g, witness) - res.value))
     if ach_err >= 1e-9:
         failures.append(f"witness shortfall {ach_err:.2e}")
 
@@ -258,25 +253,23 @@ def test_06_game_calculus_properties():
     for _ in range(10):
         g1 = _random_game(rng, n_states=3, n_answers=2)
         g2 = _random_game(rng, n_states=2, n_answers=2)
-        prod = tensor_product(g1, g2)
+        prod = O.tensor_product(g1, g2)
         ops = {}
-        for a1 in g1.utility.answers:
-            for a2 in g2.utility.answers:
-                g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                m = g @ g.conj().T
-                ops[(a1, a2)] = m / np.linalg.eigvalsh(m).max()
-        proj = SelectiveProjection(ops)
-        from qtokens.games import restrict_projection
-        restricted = restrict_projection(proj, g2.ensemble.reduced(), keep=0)
+        for a1, a2 in prod.answers:
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T
+            ops[(a1, a2)] = m / np.linalg.eigvalsh(m).max()
+        restricted = O.restrict_projection(O.SelectiveProjection(ops),
+                                           g2.reduced(), keep=0)
         for i in range(3):
-            for a1 in g1.utility.answers:
+            for a1 in g1.answers:
+                # product rows run over (s1, s2) row-major: s1 = i is rows 2i, 2i+1
                 joint = sum(
                     float(np.trace(ops[(a1, a2)]
-                                   @ prod.ensemble.operator(j)).real)
-                    for j, (s1, _) in enumerate(prod.ensemble.indices)
-                    if s1 == i for a2 in g2.utility.answers)
+                                   @ (prod.weights[j] * prod.states[j])).real)
+                    for j in (2 * i, 2 * i + 1) for a2 in g2.answers)
                 direct = float(np.trace(restricted.operators[a1]
-                                        @ g1.ensemble.operator(i)).real)
+                                        @ (g1.weights[i] * g1.states[i])).real)
                 restr_err = max(restr_err, abs(joint - direct))
     if restr_err >= 1e-10:
         failures.append(f"restriction mismatch {restr_err:.2e}")
@@ -286,12 +279,12 @@ def test_06_game_calculus_properties():
         g = _random_game(rng, n_states=int(rng.integers(2, 5)),
                          n_answers=int(rng.integers(2, 4)))
         sel = selective_value(g).value
-        dim = g.ensemble.states[0].shape[0]
+        dim = g.states.shape[-1]
         for _ in range(4):
-            povm = _random_povm(rng, dim, len(g.utility.answers))
-            phys = SelectiveProjection(dict(zip(g.utility.answers, povm)))
+            povm = _random_povm(rng, dim, len(g.answers))
+            phys = O.SelectiveProjection(dict(zip(g.answers, povm)))
             excess = max(excess,
-                         value_wrt_projection(g, phys) - sel)
+                         O.value_wrt_projection(g, phys) - sel)
     if excess > 1e-9:
         failures.append(f"a physical strategy beat the selective value by {excess:.2e}")
     _report("accept-06", not failures,
@@ -384,7 +377,7 @@ def _commuting_cells():
 
 def test_10_multiplexing_inequality():
     cells, pa, pb = _commuting_cells()
-    ideal = multiplex_sequential_check(cells, pa, pb)
+    ideal = O.multiplex_sequential_check(cells, pa, pb)
     failures = []
     if ideal.epsilon != 0.0 or abs(ideal.min_joint_success - 1.0) > 1e-12:
         failures.append(f"commuting case: eps {ideal.epsilon}, "
@@ -402,7 +395,7 @@ def test_10_multiplexing_inequality():
         eta = float(rng.uniform(0.0, 0.02))
         cells = {k: (1.0 - eta) * v + eta * np.eye(4) / 4.0
                  for k, v in cells.items()}
-        check = multiplex_sequential_check(cells, pa, pb)
+        check = O.multiplex_sequential_check(cells, pa, pb)
         worst = min(worst, check.min_joint_success - check.bound)
         if not check.holds:
             failures.append(f"violated at theta={theta} eta={eta}")

@@ -11,7 +11,8 @@ from qtokens.bounds import (CV_THRESHOLD, SINGLE_COPY_THRESHOLD,
                             cv_security_bound, cv_soundness_bound,
                             hoeffding_rejection, learning_bound,
                             multicopy_security_bound, multicopy_threshold,
-                            relative_entropy, security_bound, soundness_bound)
+                            relative_entropy, security_bound, soundness_bound,
+                            threshold_game_bound)
 
 import oracles as O
 
@@ -253,3 +254,17 @@ def test_thresholds_are_the_documented_constants():
     assert float(SINGLE_COPY_THRESHOLD) == 5.0 / 6.0
     assert abs(CV_THRESHOLD - O.COS2_PI_8) < 1e-15
     assert abs(CV_THRESHOLD - math.cos(math.pi / 8.0) ** 2) < 1e-15
+
+
+# -- block threshold bound ------------------------------------------------------
+
+def test_threshold_game_bound_values():
+    assert abs(threshold_game_bound([0.7, 0.7, 0.7], 0.7) - 2.0) < 1e-15
+    assert abs(threshold_game_bound([0.5], 1.0) - 1.0) < 1e-15
+    got = threshold_game_bound([0.75] * 20, 0.9)
+    from qtokens.bounds import relative_entropy
+    assert abs(got - 2.0 * math.exp(-20 * relative_entropy(0.9, 0.75))) < 1e-15
+    with pytest.raises(ValueError):
+        threshold_game_bound([0.8, 0.9], 0.5)
+    with pytest.raises(ValueError):
+        threshold_game_bound([], 0.5)

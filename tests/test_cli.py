@@ -194,6 +194,35 @@ def test_verify_refuses_malformed_token_file(tmp_path, capsys, field, value):
     assert json.loads(capsys.readouterr().out)["accepted"] is True
 
 
+def _store_without_serial(genuine: dict) -> dict:
+    del genuine["serials"][0]["serial"]
+    return genuine
+
+
+@pytest.mark.parametrize("command", ["verify", "issue", "cv-demo"])
+@pytest.mark.parametrize("corrupt", [
+    lambda genuine: {"version": 1},
+    lambda genuine: [],
+    _store_without_serial,
+    lambda genuine: {"version": 1, "serials": [5]},
+], ids=["no-serials", "top-level-list", "record-without-serial", "record-not-object"])
+def test_malformed_store_file_is_usage_error(tmp_path, capsys, command, corrupt):
+    store, token, _ = _issue_qticket(tmp_path, capsys, N=16)
+    bad = Path(store)
+    bad.write_text(json.dumps(corrupt(json.loads(bad.read_text()))))
+    before = bad.read_bytes()
+    argv = {
+        "verify": ["verify", "--store", store, "--token", token],
+        "issue": ["issue", "--N", "8", "--ftol", "5/6", "--store", store,
+                  "--out", str(tmp_path / "new.json")],
+        "cv-demo": ["cv-demo", "--store", store, "--quiet"],
+    }[command]
+    assert cli.main(argv + ["--seed", "1"]) == cli.EXIT_USAGE
+    assert store in capsys.readouterr().err
+    assert bad.read_bytes() == before
+    assert not (tmp_path / "new.json").exists()
+
+
 def test_verify_refuses_paired_token_kind(tmp_path, capsys):
     store = str(tmp_path / "s.json")
     token = str(tmp_path / "t.json")

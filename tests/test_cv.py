@@ -78,17 +78,6 @@ def test_cv_issue_deterministic(rng_factory):
     np.testing.assert_array_equal(s1.pairs, s2.pairs)
 
 
-def test_pauli_frame_issue_still_scores_perfectly(rng):
-    layout = CvLayout(4, 10, Fraction(4, 5))
-    secret, token = cv_issue(layout, rng, pauli_frame=True)
-    is_x = AXIS_IS_X[secret.pairs]
-    assert (is_x.sum(axis=2) == 1).all()
-    question = random_question(layout, rng)
-    sheet = honest_answer(token, question, None, rng)
-    card = score_answer(secret, question, sheet.outcomes, layout)
-    assert card.accepted and card.per_block_correct == (10,) * 4
-
-
 # -- questions -----------------------------------------------------------------
 
 def test_random_question_shape(rng):

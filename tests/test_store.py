@@ -76,6 +76,33 @@ def test_load_rejects_unknown_version(tmp_path):
         SecretStore(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("f_tol", 0.9),
+    ("accepted_count", True),
+    ("accepted_count", "0"),
+    ("serial", 7),
+    ("issued_copies", None),
+    ("attempts", None),
+], ids=["f_tol-float", "count-bool", "count-string", "serial-int",
+        "qticket-without-copies", "cv-without-attempts"])
+def test_load_rejects_records_off_the_layout(tmp_path, field, value):
+    path = tmp_path / "store.json"
+    store = SecretStore(path)
+    store.add_qticket("s1", LABELS6, Fraction(9, 10))
+    store.add_cv("s2", 1, 3, Fraction(3, 4), np.zeros((1, 3, 2), dtype=np.uint8))
+    store.save()
+    data = json.loads(path.read_text())
+    for rec in data["serials"]:
+        if field in rec:
+            if value is None:
+                del rec[field]
+            else:
+                rec[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed store file"):
+        SecretStore(path)
+
+
 def test_save_requires_path():
     with pytest.raises(ValueError):
         SecretStore().save()
