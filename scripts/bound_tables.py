@@ -7,15 +7,15 @@ challenge-response bounds, one row per parameter point.
 """
 from fractions import Fraction
 
-from qtokens.bounds import (cv_security_bound, cv_soundness_bound,
-                            learning_bound, multicopy_security_bound,
-                            multicopy_threshold, security_bound,
-                            soundness_bound)
+from qtokens.bounds import (CLONING_CEILING, cv_security_bound,
+                            cv_soundness_bound, learning_bound,
+                            multicopy_security_bound, multicopy_threshold,
+                            security_bound, soundness_bound)
 
 
 def main() -> int:
     print("thresholds:")
-    for c in (1, 2, 3):
+    for c in sorted(CLONING_CEILING):
         print(f"  {c} issued copies -> F_tol > {multicopy_threshold(c)}")
     print()
 

@@ -11,6 +11,7 @@ tokens of :mod:`qtokens.cv` through one per-qubit outcome law each.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -80,12 +81,17 @@ def _measure_reprepare_z_stack(states: np.ndarray) -> np.ndarray:
     return p0 * np.kron(_Z0, _Z0) + p1 * np.kron(_Z1, _Z1)
 
 
+@functools.cache
 def _intermediate_projector() -> np.ndarray:
-    """Rank-one projector onto the +1 eigenvector of (X + Z)/sqrt(2)."""
+    """Read-only rank-one projector onto the +1 eigenvector of (X + Z)/sqrt(2),
+    built on first use: a process's first ``eigh`` adds about 1 MB of peak
+    memory, which callers that never use this basis should not pay."""
     ham = (PAULI_X + PAULI_Z) / math.sqrt(2.0)
     eigvals, eigvecs = np.linalg.eigh(ham)
     v = eigvecs[:, np.argmax(eigvals)]
-    return np.outer(v, v.conj())
+    proj = np.outer(v, v.conj())
+    proj.setflags(write=False)
+    return proj
 
 
 def intermediate_bit_zero(qubits: np.ndarray, codes=None) -> np.ndarray:

@@ -13,14 +13,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .rational import as_fraction
 
+#: Per-position ceiling q_c on "all c + 1 outputs pass" over every map from
+#: c copies of a uniformly drawn six-state label to c + 1 registers.  Each
+#: entry is certified (an eigenvalue bound that a cloning map reaches); at
+#: c = 3 a map beats the Haar-random 19/20, so other counts are refused.
+CLONING_CEILING = MappingProxyType({1: Fraction(2, 3), 2: Fraction(3, 4)})
+
+
+def multicopy_threshold(c: int) -> Fraction:
+    """Exact tolerated-fidelity threshold (c + q_c)/(c + 1) below which
+    forging c+1 tokens out of c is not suppressed; q_c is the cloning
+    ceiling.  Raises ValueError for a c without a certified ceiling."""
+    if c not in CLONING_CEILING:
+        raise ValueError(f"no certified cloning ceiling for c={c!r}; "
+                         f"supported copy counts: {sorted(CLONING_CEILING)}")
+    return (c + CLONING_CEILING[c]) / (c + 1)
+
+
 #: Largest tolerated fidelity for which single-copy forgery bounds are vacuous.
-SINGLE_COPY_THRESHOLD = Fraction(5, 6)
+SINGLE_COPY_THRESHOLD = multicopy_threshold(1)
 
 #: Per-position ceiling of the simultaneous-answer strategy for the paired
 #: two-axis tokens; equals cos^2(pi/8).
@@ -92,6 +110,14 @@ def _exp_neg(scale: int, rate: float) -> float:
     return math.exp(-scale * rate)
 
 
+def _power(base: float, n: int) -> float:
+    """base ** n, with float overflow resolved to the vacuous value +inf."""
+    try:
+        return base ** n
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Raw formula value plus a clamped-to-[0,1] probability.
@@ -106,27 +132,35 @@ class BoundReport:
     exponent: float
     scale: int
     prefactor: float
-    params: Mapping[str, Any]
 
     @property
     def clamped(self) -> float:
         return min(max(self.raw, 0.0), 1.0)
 
 
+def _is_exact(f_tol: Any) -> bool:
+    return isinstance(f_tol, (Fraction, int, str))
+
+
+def _as_float(f_tol: Any) -> float:
+    """F_tol as a float: exact rationals through Fraction, anything else
+    through float()."""
+    return float(as_fraction(f_tol)) if _is_exact(f_tol) else float(f_tol)
+
+
 def _require_secure(f_tol: Any, threshold: Fraction | float, what: str,
                     p_of: Callable[[Fraction], Fraction], q: Fraction | float) -> float:
-    """Validate f_tol strictly above the vacuous-regime threshold.
+    """Validate f_tol strictly above the vacuous-regime threshold, comparing
+    exactly when both are rationals.
 
     The error carries the exponent D(p_of(F_tol) || q), with p clamped into
     [0, 1] in exact rational arithmetic so it is exactly 0.0 at a rational
     threshold.
     """
-    if isinstance(f_tol, (Fraction, int, str)):
-        frac = as_fraction(f_tol)
-        bad = frac <= threshold if isinstance(threshold, Fraction) else float(frac) <= threshold
-        value = float(frac)
+    value = _as_float(f_tol)
+    if _is_exact(f_tol) and isinstance(threshold, Fraction):
+        bad = as_fraction(f_tol) <= threshold
     else:
-        value = float(f_tol)
         bad = value <= float(threshold)
     if bad:
         p = min(max(p_of(as_fraction(f_tol)), Fraction(0)), Fraction(1))
@@ -136,31 +170,41 @@ def _require_secure(f_tol: Any, threshold: Fraction | float, what: str,
     return value
 
 
-def soundness_bound(n_qubits: int, f_expected: float, f_tol: Any) -> BoundReport:
-    """Lower bound 1 - e^{-N D(F_tol||F_exp)} on honest acceptance."""
-    f_tol_f = float(as_fraction(f_tol)) if not isinstance(f_tol, float) else f_tol
+def cv_soundness_bound(n_blocks: int, r: int, f_expected: float, f_tol: Any) -> BoundReport:
+    """Lower bound (1 - e^{-r D(F_tol||F_exp)})^n on honest acceptance of an
+    n-block, r-pairs-per-block classically-verified token."""
+    f_tol_f = _as_float(f_tol)
     f_expected = float(f_expected)
-    if n_qubits < 0:
-        raise ValueError("n_qubits must be non-negative")
+    if n_blocks < 0 or r < 0:
+        raise ValueError("n_blocks and r must be non-negative")
     if not f_tol_f < f_expected <= 1.0:
         raise ValueError(f"need F_tol < F_exp <= 1, got F_tol={f_tol_f}, F_exp={f_expected}")
     d = relative_entropy(f_tol_f, f_expected)
-    raw = 1.0 - _exp_neg(n_qubits, d)
-    return BoundReport(raw, d, n_qubits, 1.0,
-                       {"kind": "soundness", "N": n_qubits, "f_exp": f_expected, "f_tol": f_tol_f})
+    return BoundReport((1.0 - _exp_neg(r, d)) ** n_blocks, d, r, 1.0)
+
+
+def soundness_bound(n_qubits: int, f_expected: float, f_tol: Any) -> BoundReport:
+    """Lower bound 1 - e^{-N D(F_tol||F_exp)} on honest acceptance: one
+    block of N positions."""
+    return cv_soundness_bound(1, n_qubits, f_expected, f_tol)
+
+
+def multicopy_security_bound(n_qubits: int, f_tol: Any, c: int) -> BoundReport:
+    """Upper bound e^{-N D((c+1) F_tol - c || q_c)} on all c+1 counterfeits
+    passing when c genuine copies were issued; q_c is the cloning ceiling.
+    Raises ValueError for a c without a certified ceiling."""
+    if n_qubits < 0:
+        raise ValueError("n_qubits must be non-negative")
+    f = _require_secure(f_tol, multicopy_threshold(c), f"{c}-copy security",
+                        lambda x: (c + 1) * x - c, CLONING_CEILING[c])
+    d = relative_entropy((c + 1) * f - c, float(CLONING_CEILING[c]))
+    return BoundReport(_exp_neg(n_qubits, d), d, n_qubits, 1.0)
 
 
 def security_bound(n_qubits: int, f_tol: Any) -> BoundReport:
     """Upper bound e^{-N D(2 F_tol - 1 || 2/3)} on double acceptance of two
     counterfeits produced from a single token."""
-    if n_qubits < 0:
-        raise ValueError("n_qubits must be non-negative")
-    f = _require_secure(f_tol, SINGLE_COPY_THRESHOLD, "single-copy security",
-                        lambda x: 2 * x - 1, Fraction(2, 3))
-    d = relative_entropy(2.0 * f - 1.0, 2.0 / 3.0)
-    raw = _exp_neg(n_qubits, d)
-    return BoundReport(raw, d, n_qubits, 1.0,
-                       {"kind": "security", "N": n_qubits, "f_tol": f})
+    return multicopy_security_bound(n_qubits, f_tol, 1)
 
 
 def learning_bound(n_qubits: int, f_tol: Any, v: int) -> BoundReport:
@@ -170,25 +214,7 @@ def learning_bound(n_qubits: int, f_tol: Any, v: int) -> BoundReport:
         raise ValueError("v must be >= 1")
     base = security_bound(n_qubits, f_tol)
     pref = float(math.comb(v, 2))
-    raw = pref * _exp_neg(n_qubits, base.exponent)
-    return BoundReport(raw, base.exponent, n_qubits, pref,
-                       {"kind": "learning", "N": n_qubits, "f_tol": base.params["f_tol"], "v": v})
-
-
-def cv_soundness_bound(n_blocks: int, r: int, f_expected: float, f_tol: Any) -> BoundReport:
-    """Lower bound (1 - e^{-r D(F_tol||F_exp)})^n on honest acceptance of an
-    n-block, r-pairs-per-block classically-verified token."""
-    f_tol_f = float(as_fraction(f_tol)) if not isinstance(f_tol, float) else f_tol
-    f_expected = float(f_expected)
-    if n_blocks < 0 or r < 0:
-        raise ValueError("n_blocks and r must be non-negative")
-    if not f_tol_f < f_expected <= 1.0:
-        raise ValueError(f"need F_tol < F_exp <= 1, got F_tol={f_tol_f}, F_exp={f_expected}")
-    d = relative_entropy(f_tol_f, f_expected)
-    raw = (1.0 - _exp_neg(r, d)) ** n_blocks
-    return BoundReport(raw, d, r, 1.0,
-                       {"kind": "cv-soundness", "n": n_blocks, "r": r,
-                        "f_exp": f_expected, "f_tol": f_tol_f})
+    return BoundReport(pref * base.raw, base.exponent, n_qubits, pref)
 
 
 def cv_security_bound(n_blocks: int, r: int, f_tol: Any, v: int) -> BoundReport:
@@ -202,43 +228,35 @@ def cv_security_bound(n_blocks: int, r: int, f_tol: Any, v: int) -> BoundReport:
                         lambda x: x, CV_THRESHOLD)
     d = relative_entropy(f, CV_THRESHOLD)
     pref = float(math.comb(v, 2)) ** 2
-    raw = pref * (0.5 + _exp_neg(r, d)) ** n_blocks
-    return BoundReport(raw, d, r, pref,
-                       {"kind": "cv-security", "n": n_blocks, "r": r, "f_tol": f, "v": v})
+    return BoundReport(pref * _power(0.5 + _exp_neg(r, d), n_blocks), d, r, pref)
+
+
+def cv_complementary_bound(n_blocks: int, r: int, f_tol: Any) -> BoundReport:
+    """Upper bound (2 e^{-r D(F_tol||cos^2(pi/8))})^n on double acceptance
+    when the second verifier asks every block the axis the first did not.
+
+    The two questions score each pair's Z and X member once, so a block is
+    the threshold game over r copies of the balanced average pair game
+    (value cos^2(pi/8)): :func:`threshold_game_bound` at r equal values,
+    without its mean, which can round a few ulps above them.
+    ``prefactor`` is the per-block 2.
+    """
+    if n_blocks < 0 or r < 1:
+        raise ValueError("need n_blocks >= 0 and r >= 1")
+    f = _require_secure(f_tol, CV_THRESHOLD, "complementary paired-token security",
+                        lambda x: x, CV_THRESHOLD)
+    d = relative_entropy(f, CV_THRESHOLD)
+    return BoundReport(_power(2.0 * _exp_neg(r, d), n_blocks), d, r, 2.0)
 
 
 def hoeffding_rejection(n_qubits: int, f_tol: Any) -> BoundReport:
     """Upper bound (1/2) e^{-2 N (5/6 - F_tol)^2} on honest rejection when the
     verifier measures counterfeit copies at best-cloning marginal 5/6."""
-    f = float(as_fraction(f_tol)) if not isinstance(f_tol, float) else f_tol
+    f = _as_float(f_tol)
     if n_qubits < 0:
         raise ValueError("n_qubits must be non-negative")
     if f >= float(SINGLE_COPY_THRESHOLD):
         raise ValueError(f"hoeffding_rejection needs F_tol < 5/6, got {f}")
     gap = float(SINGLE_COPY_THRESHOLD) - f
     exponent = 2.0 * gap * gap
-    raw = 0.5 * _exp_neg(n_qubits, exponent)
-    return BoundReport(raw, exponent, n_qubits, 0.5,
-                       {"kind": "hoeffding-rejection", "N": n_qubits, "f_tol": f})
-
-
-def multicopy_threshold(c: int) -> Fraction:
-    """Exact tolerated-fidelity threshold 1 - 1/((c+1)(c+2)) below which
-    forging c+1 tokens out of c is not suppressed."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return 1 - Fraction(1, (c + 1) * (c + 2))
-
-
-def multicopy_security_bound(n_qubits: int, f_tol: Any, c: int) -> BoundReport:
-    """Upper bound e^{-N D((c+1) F_tol - c || (c+1)/(c+2))} on all c+1
-    counterfeits passing when c genuine copies were issued."""
-    if n_qubits < 0:
-        raise ValueError("n_qubits must be non-negative")
-    thr = multicopy_threshold(c)
-    f = _require_secure(f_tol, thr, f"{c}-copy security",
-                        lambda x: (c + 1) * x - c, Fraction(c + 1, c + 2))
-    d = relative_entropy((c + 1) * f - c, (c + 1) / (c + 2))
-    raw = _exp_neg(n_qubits, d)
-    return BoundReport(raw, d, n_qubits, 1.0,
-                       {"kind": "multicopy-security", "N": n_qubits, "f_tol": f, "c": c})
+    return BoundReport(0.5 * _exp_neg(n_qubits, exponent), exponent, n_qubits, 0.5)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import wire
 from .attacks import PAIR_STRATEGIES, double_accept_mc, mixture_outcome_distribution
-from .bounds import (CV_THRESHOLD, SINGLE_COPY_THRESHOLD, BoundReport,
-                     InsecureParametersError, cv_security_bound,
+from .bounds import (CLONING_CEILING, CV_THRESHOLD, SINGLE_COPY_THRESHOLD,
+                     BoundReport, InsecureParametersError, cv_security_bound,
                      cv_soundness_bound, hoeffding_rejection, learning_bound,
                      multicopy_security_bound, multicopy_threshold,
                      security_bound, soundness_bound)
@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fexp", type=float, default=None, help="expected per-qubit fidelity")
     p.add_argument("--ftol", type=_fraction_arg, required=True)
     p.add_argument("--v", type=int, default=2, help="verification attempts")
-    p.add_argument("--copies", type=int, default=None, help="issued copies per serial")
+    p.add_argument("--copies", type=int, default=None,
+                   help="issued copies per serial, one of "
+                        f"{', '.join(map(str, sorted(CLONING_CEILING)))}; other counts "
+                        "have no certified cloning ceiling and are refused")
     p.add_argument("--n", type=int, default=None, help="paired-token blocks")
     p.add_argument("--r", type=int, default=None, help="pairs per block")
     p.add_argument("--json", action="store_true")

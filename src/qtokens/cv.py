@@ -18,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (BoundReport, InsecureParametersError, cv_security_bound,
-                     cv_soundness_bound, threshold_game_bound)
+from .bounds import (BoundReport, InsecureParametersError,
+                     cv_complementary_bound, cv_security_bound,
+                     cv_soundness_bound)
 from .channels import QubitChannel, average_fidelity, identity_channel
 from .core import (AXIS_NAMES, CV_PAIRS, EIGENBITS, LABEL_AXES, LABELS,
                    PROJECTOR_STACK, check_density_matrix)
-from .games import build_cv_pair_games, selective_value
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
 from .store import SecretStore, UnknownSerialError, labels_from_strings
@@ -400,17 +400,6 @@ class DoubleSpendReport:
     mean_pair_utility: float
 
 
-def complementary_double_spend_bound(layout: CvLayout) -> float:
-    """min(1, 2 e^{-r D(f_tol || v_avg)})^n with v_avg the selective value of
-    the balanced average game, computed live."""
-    v_avg = selective_value(build_cv_pair_games().g_avg).value
-    f = float(layout.f_tol)
-    if f < v_avg:
-        return 1.0
-    per_block = threshold_game_bound([v_avg] * layout.block_size, f)
-    return min(1.0, per_block) ** layout.n_blocks
-
-
 def double_spend_experiment(layout: CvLayout, attacker, pairing: str,
                             trials: int,
                             rng: np.random.Generator) -> DoubleSpendReport:
@@ -440,15 +429,13 @@ def double_spend_experiment(layout: CvLayout, attacker, pairing: str,
         card2 = _block_correct(pairs, _scored(pairs, q2), bits)
         successes += int(((card1 >= k).all(axis=1) & (card2 >= k).all(axis=1)).sum())
         scored_correct += int(card1.sum() + card2.sum())
-    if pairing == "independent":
-        try:
-            bound = cv_security_bound(layout.n_blocks, layout.block_size,
-                                      layout.f_tol, v=2).clamped
-        except InsecureParametersError:
-            bound = 1.0
-    else:
-        bound = complementary_double_spend_bound(layout)
-    scored_total = 2 * layout.n_blocks * layout.block_size * trials
+    n, r = layout.n_blocks, layout.block_size
+    try:
+        bound = (cv_security_bound(n, r, layout.f_tol, v=2) if pairing == "independent"
+                 else cv_complementary_bound(n, r, layout.f_tol)).clamped
+    except InsecureParametersError:
+        bound = 1.0
+    scored_total = 2 * n * r * trials
     return DoubleSpendReport(attacker.name, pairing, trials, successes,
                              successes / trials, bound,
                              scored_correct / scored_total)

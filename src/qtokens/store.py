@@ -11,6 +11,10 @@ Store layout::
          "attempts": 0, "accepted_count": 0}                       # paired token
      ]}
 
+A paired-token record may also hold the last "question" asked, one of
+"Z"/"X" per block.  Every "f_tol" is written and read as "p/q" with
+0 <= p <= q and q >= 1.
+
 Acceptance and attempt counters are bumped under a lock with
 compare-and-increment semantics so concurrent verifier threads cannot
 overshoot a serial's budget.
@@ -19,24 +23,44 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .core import LABELS
+from .core import AXIS_NAMES, LABELS
 from .rational import as_fraction
 
 STORE_VERSION = 1
+
+#: Axis names a paired-token challenge may ask (those of qtokens.cv).
+_CHALLENGE_AXES = AXIS_NAMES[:2]
 
 
 class UnknownSerialError(LookupError):
     """Lookup of a serial the verifier never issued ("unknown-serial")."""
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+_THRESHOLD = re.compile(r"([0-9]+)/([0-9]+)")
+
+
+def _is_threshold(text: str) -> bool:
+    """True for the "p/q" spelling of a threshold in [0, 1]: 0 <= p <= q, q >= 1."""
+    match = _THRESHOLD.fullmatch(text)
+    if match is None:
+        return False
+    p, q = int(match[1]), int(match[2])
+    return p <= q and q >= 1
+
+
+def _threshold_str(f_tol: Fraction) -> str:
+    f = as_fraction(f_tol)
+    text = f"{f.numerator}/{f.denominator}"
+    if not _is_threshold(text):
+        raise ValueError(f"f_tol must lie in [0, 1], got {text}")
+    return text
 
 
 _COMMON_FIELDS = {"serial": str, "f_tol": str, "accepted_count": int}
@@ -49,9 +73,20 @@ def _has_fields(rec: dict, fields: dict[str, type]) -> bool:
     return all(type(rec.get(key)) is kind for key, kind in fields.items())
 
 
+def _valid_question(rec: dict) -> bool:
+    """No stashed question, or one challenge axis name per block of a
+    paired-token record."""
+    if "question" not in rec:
+        return True
+    question = rec["question"]
+    return (isinstance(question, list) and len(question) == rec.get("n")
+            and all(axis in _CHALLENGE_AXES for axis in question))
+
+
 def _valid_record(rec: Any) -> bool:
     """True for a measured-token or a paired-token record of the layout above."""
     return (isinstance(rec, dict) and _has_fields(rec, _COMMON_FIELDS)
+            and _is_threshold(rec["f_tol"]) and _valid_question(rec)
             and (_has_fields(rec, _QTICKET_FIELDS) or _has_fields(rec, _CV_FIELDS)))
 
 
@@ -99,7 +134,7 @@ class SecretStore:
             self._records[serial] = {
                 "serial": serial,
                 "labels": [LABELS[i] for i in np.asarray(labels)],
-                "f_tol": _fraction_str(as_fraction(f_tol)),
+                "f_tol": _threshold_str(f_tol),
                 "issued_copies": int(issued_copies),
                 "accepted_count": 0,
             }
@@ -115,7 +150,7 @@ class SecretStore:
                 "serial": serial,
                 "n": int(n),
                 "r": int(r),
-                "f_tol": _fraction_str(as_fraction(f_tol)),
+                "f_tol": _threshold_str(f_tol),
                 "pairs": flat,
                 "attempts": 0,
                 "accepted_count": 0,

@@ -5,6 +5,10 @@ The numeric oracles are rebuilt from scratch: explicit ket vectors, literal
 sums, and high-precision mpmath evaluation.  None of them uses the package,
 so agreement is a genuine two-route check rather than a tautology.
 
+The cloning-ceiling references build their operators from the package's
+``PROJECTOR_STACK``; the see-saw search that approaches each ceiling is
+their achievable-value route.
+
 The retrieval-game references (witness, value of a projection, products,
 restriction, multiplexed measurements) read a package game's arrays but
 rebuild each operator one state at a time.
@@ -326,6 +330,67 @@ def mp_cv_security_bound(n_blocks: int, r: int, f_tol, v: int):
     d = mp_relative_entropy(f_tol, thr)
     return mpmath.binomial(v, 2) ** 2 * (mpmath.mpf(1) / 2
                                          + mpmath.e ** (-r * d)) ** n_blocks
+
+
+def mp_cv_complementary_bound(n_blocks: int, r: int, f_tol):
+    thr = (1 + 1 / mpmath.sqrt(2)) / 2
+    return (2 * mpmath.e ** (-r * mp_relative_entropy(f_tol, thr))) ** n_blocks
+
+
+#: Per-position "all c + 1 outputs pass" ceilings that
+#: ``cloning_operator`` certifies for c = 1, 2.
+CLONING_CEILINGS = {1: Fraction(2, 3), 2: Fraction(3, 4)}
+
+
+def mp_multicopy_security_bound(n: int, f_tol, c: int):
+    p = (c + 1) * _mp(f_tol) - c
+    return mpmath.e ** (-n * mp_relative_entropy(p, _mp(CLONING_CEILINGS[c])))
+
+
+# ---------------------------------------------------------------------------
+# Cloning ceilings.  A map from c copies of a qubit to c + 1 registers has
+# a Choi matrix J on (input, output), with Tr_out J = I when it is trace
+# preserving; on c copies of a uniformly drawn label state its chance of
+# passing a set of output checks is Tr[J X] for the X built below.  X is
+# supported on the symmetric input subspace, of dimension c + 1, so no map
+# beats (c + 1) lambda_max(X).
+
+def _kron_all(factors) -> np.ndarray:
+    return functools.reduce(np.kron, factors, np.ones((1, 1)))
+
+
+def cloning_operator(c: int, output: int | None = None) -> np.ndarray:
+    """X = (1/6) sum_s (P_s^{(x)c})^T (x) Q_s over the six label projectors,
+    with Q_s = P_s^{(x)(c+1)} (all outputs pass) or, for a given ``output``
+    k, P_s on output k and the identity elsewhere (that output passes)."""
+    total = 0
+    for proj in PROJECTOR_STACK:
+        checks = [proj if output in (None, k) else np.eye(2) for k in range(c + 1)]
+        total = total + np.kron(_kron_all([proj] * c).T, _kron_all(checks))
+    return total / len(PROJECTOR_STACK)
+
+
+def choi_output_trace(choi: np.ndarray, c: int) -> np.ndarray:
+    d_in, d_out = 2 ** c, 2 ** (c + 1)
+    return np.einsum("iaja->ij", choi.reshape(d_in, d_out, d_in, d_out))
+
+
+def seesaw_choi(target: np.ndarray, c: int, iters: int = 200) -> np.ndarray:
+    """Choi matrix of a c -> c + 1 channel that climbs Tr[J target]: start
+    from the identity, repeat J <- target J target and renormalise so that
+    Tr_out J = I on the symmetric input subspace, then complete it with the
+    maximally mixed output off that subspace so the map is CPTP."""
+    d_in, d_out = 2 ** c, 2 ** (c + 1)
+    choi = np.eye(d_in * d_out, dtype=complex)
+    for _ in range(iters):
+        choi = target @ choi @ target
+        w, v = np.linalg.eigh(choi_output_trace(choi, c))
+        inv_sqrt = np.where(w > 1e-12, 1.0 / np.sqrt(np.maximum(w, 1e-12)), 0.0)
+        scale = np.kron((v * inv_sqrt) @ v.conj().T, np.eye(d_out))
+        choi = scale @ choi @ scale.conj().T
+        choi = (choi + choi.conj().T) / 2.0
+    off_support = np.eye(d_in) - choi_output_trace(choi, c)
+    return choi + np.kron(off_support, np.eye(d_out) / d_out)
 
 
 # ---------------------------------------------------------------------------

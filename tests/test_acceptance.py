@@ -408,11 +408,15 @@ def test_10_multiplexing_inequality():
 
 def test_11_threshold_table():
     failures = []
-    for c, want in ((1, Fraction(5, 6)), (2, Fraction(11, 12)),
-                    (3, Fraction(19, 20))):
+    for c, want in ((1, Fraction(5, 6)), (2, Fraction(11, 12))):
         got = multicopy_threshold(c)
         if got != want:
             failures.append(f"c={c}: {got} != {want}")
+    try:
+        multicopy_threshold(3)
+        failures.append("c=3 has a threshold but no certified cloning ceiling")
+    except ValueError:
+        pass
 
     def _raises(fn, *args):
         try:
@@ -434,5 +438,5 @@ def test_11_threshold_table():
     if _raises(cv_security_bound, 8, 25, CV_THRESHOLD + 1e-9, 2):
         failures.append("refusal just above the paired-token threshold")
     _report("accept-11", not failures,
-            failures or "thresholds 5/6, 11/12, 19/20 exact; refusals flip "
-            "exactly at 5/6 and cos^2(pi/8)")
+            failures or "thresholds 5/6, 11/12 exact, c=3 refused; refusals "
+            "flip exactly at 5/6 and cos^2(pi/8)")

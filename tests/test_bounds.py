@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qtokens.bounds import (CV_THRESHOLD, SINGLE_COPY_THRESHOLD,
-                            InsecureParametersError, chernoff_tail,
+from qtokens.bounds import (CLONING_CEILING, CV_THRESHOLD,
+                            SINGLE_COPY_THRESHOLD, InsecureParametersError,
+                            chernoff_tail, cv_complementary_bound,
                             cv_security_bound, cv_soundness_bound,
                             hoeffding_rejection, learning_bound,
                             multicopy_security_bound, multicopy_threshold,
                             relative_entropy, security_bound, soundness_bound,
                             threshold_game_bound)
+from qtokens.games import build_cv_pair_games, selective_value
 
 import oracles as O
 
@@ -202,6 +204,52 @@ def test_cv_security_decays_geometrically_in_n():
     assert abs(vals[3] / vals[2] - ratio) < 1e-12 * ratio
 
 
+def test_paired_bounds_overflow_to_a_vacuous_bound():
+    # just above cos^2(pi/8) each block factor exceeds 1, and enough blocks
+    # overflow a float power
+    for rep in (cv_security_bound(2000, 1, Fraction(86, 100), 2),
+                cv_complementary_bound(1100, 1, Fraction(86, 100))):
+        assert rep.raw == math.inf and rep.clamped == 1.0
+
+
+# -- complementary pairing ------------------------------------------------------
+
+COMPLEMENTARY_LAYOUTS = [(20, 200, Fraction(23, 25)), (4, 64, Fraction(23, 25)),
+                         (10, 100, Fraction(9, 10)), (3, 16, Fraction(15, 16)),
+                         (1, 1, Fraction(1)), (0, 8, Fraction(9, 10))]
+
+
+@pytest.mark.parametrize("n, r, f_tol", COMPLEMENTARY_LAYOUTS)
+def test_complementary_bound_value_and_routes(n, r, f_tol):
+    rep = cv_complementary_bound(n, r, f_tol)
+    assert rep.scale == r and rep.prefactor == 2.0
+    assert rep.exponent == relative_entropy(float(f_tol), CV_THRESHOLD)
+    want = float(O.mp_cv_complementary_bound(n, r, f_tol))
+    assert abs(rep.raw - want) < 1e-12 * want
+    # the live route: the balanced average game's selective value
+    v_avg = selective_value(build_cv_pair_games().g_avg).value
+    live = (2.0 * math.exp(-r * relative_entropy(float(f_tol), v_avg))) ** n
+    assert abs(rep.raw - live) < 1e-12 * live
+    assert rep.clamped == min(rep.raw, 1.0)
+
+
+def test_complementary_bound_vacuous_below_game_value():
+    with pytest.raises(InsecureParametersError, match="insecure-parameters"):
+        cv_complementary_bound(4, 16, CV_THRESHOLD)
+    with pytest.raises(InsecureParametersError) as info:
+        cv_complementary_bound(4, 16, Fraction(3, 4))
+    assert info.value.exponent == relative_entropy(0.75, CV_THRESHOLD)
+    # one ulp above the threshold is accepted at every block size, even
+    # where a mean of r equal block values rounds above them
+    above = float(np.nextafter(CV_THRESHOLD, 1.0))
+    for r in range(1, 65):
+        assert cv_complementary_bound(2, r, above).clamped == 1.0
+    tight = cv_complementary_bound(20, 200, Fraction(23, 25)).clamped
+    assert 0.0 < tight < 1e-6
+    with pytest.raises(ValueError):
+        cv_complementary_bound(2, 0, Fraction(9, 10))
+
+
 # -- tightness and multicopy ------------------------------------------------
 
 def test_hoeffding_rejection_formula():
@@ -225,13 +273,15 @@ def test_hoeffding_dominates_exact_binomial_lower_tail():
 def test_multicopy_threshold_exact_fractions():
     assert multicopy_threshold(1) == Fraction(5, 6)
     assert multicopy_threshold(2) == Fraction(11, 12)
-    assert multicopy_threshold(3) == Fraction(19, 20)
     assert multicopy_threshold(1) == SINGLE_COPY_THRESHOLD
-    thresholds = [multicopy_threshold(c) for c in range(1, 30)]
-    assert thresholds == sorted(thresholds)
-    assert all(t < 1 for t in thresholds)
-    with pytest.raises(ValueError):
-        multicopy_threshold(0)
+    assert multicopy_threshold(1) < multicopy_threshold(2) < 1
+    assert sorted(CLONING_CEILING) == [1, 2]
+    # 19/20 is the Haar-random value at c = 3, not a six-state threshold
+    for c in (0, 3, 4):
+        with pytest.raises(ValueError, match=r"supported copy counts: \[1, 2\]"):
+            multicopy_threshold(c)
+    with pytest.raises(TypeError):
+        CLONING_CEILING[3] = Fraction(4, 5)
 
 
 def test_multicopy_security_reduces_to_single_copy():
@@ -245,9 +295,42 @@ def test_multicopy_security_threshold():
     with pytest.raises(InsecureParametersError) as info:
         multicopy_security_bound(100, Fraction(11, 12), 2)
     assert info.value.exponent == 0.0
-    rep = multicopy_security_bound(500, Fraction(19, 20), 2)
-    want = math.exp(-500 * relative_entropy(3 * 0.95 - 2, 3.0 / 4.0))
-    assert abs(rep.raw - want) < 1e-15
+    for c in sorted(CLONING_CEILING):
+        for f_tol in (Fraction(19, 20), Fraction(24, 25), 0.99):
+            rep = multicopy_security_bound(500, f_tol, c)
+            want = float(O.mp_multicopy_security_bound(500, f_tol, c))
+            assert abs(rep.raw - want) < 1e-12 * want
+
+
+# -- cloning ceilings -------------------------------------------------------
+
+@pytest.mark.parametrize("c", sorted(CLONING_CEILING))
+def test_cloning_ceiling_is_certified_and_reached(c):
+    x = O.cloning_operator(c)
+    # no c -> c + 1 map passes all outputs more often than (c + 1) lambda_max
+    assert abs((c + 1) * np.linalg.eigvalsh(x)[-1] - CLONING_CEILING[c]) < 1e-12
+    choi = O.seesaw_choi(x, c)
+    assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+    assert np.abs(O.choi_output_trace(choi, c) - np.eye(2 ** c)).max() <= 1e-12
+    assert abs(np.trace(choi @ x).real - CLONING_CEILING[c]) < 1e-9
+
+
+def test_three_copy_cloner_beats_the_haar_ceiling():
+    # a 3 -> 4 map found by the see-saw on the mean per-copy fidelity
+    per_output = [O.cloning_operator(3, output=k) for k in range(4)]
+    choi = O.seesaw_choi(sum(per_output) / 4, 3)
+    assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+    assert np.abs(O.choi_output_trace(choi, 3) - np.eye(8)).max() <= 1e-12
+    fidelities = [np.trace(choi @ x).real for x in per_output]
+    assert abs(np.mean(fidelities) - 0.952036) < 5e-7
+    assert min(fidelities) > 19 / 20
+    # union bound over the four counterfeits: all pass with probability
+    # >= 0.997, where the bound extrapolated to c = 3 claimed <= 0.0816
+    n, f_tol = 200_000, Fraction(1901, 2000)
+    k_min = math.ceil(f_tol * n)
+    assert 1.0 - 4 * O.binom_tail_le(n, min(fidelities), k_min - 1) >= 0.997
+    with pytest.raises(ValueError, match="cloning ceiling"):
+        multicopy_security_bound(n, f_tol, 3)
 
 
 def test_thresholds_are_the_documented_constants():

@@ -199,13 +199,39 @@ def _store_without_serial(genuine: dict) -> dict:
     return genuine
 
 
+def _store_with_f_tol(text: str):
+    def corrupt(genuine: dict) -> dict:
+        genuine["serials"][0]["f_tol"] = text
+        return genuine
+    return corrupt
+
+
+def _store_with_question(question):
+    # a paired record whose stashed question a fixed-policy verifier reuses
+    def corrupt(genuine: dict) -> dict:
+        genuine["serials"].append({
+            "serial": "paired", "n": 2, "r": 1, "f_tol": "3/4",
+            "pairs": [["Z+", "X+"], ["X-", "Z-"]], "attempts": 1,
+            "accepted_count": 0, "question": question})
+        return genuine
+    return corrupt
+
+
 @pytest.mark.parametrize("command", ["verify", "issue", "cv-demo"])
 @pytest.mark.parametrize("corrupt", [
     lambda genuine: {"version": 1},
     lambda genuine: [],
     _store_without_serial,
     lambda genuine: {"version": 1, "serials": [5]},
-], ids=["no-serials", "top-level-list", "record-without-serial", "record-not-object"])
+    _store_with_f_tol("1/0"),
+    _store_with_f_tol("3/2"),
+    _store_with_f_tol("0.9"),
+    _store_with_question(5),
+    _store_with_question(["Q", "Z"]),
+    _store_with_question(["Z", "X", "Z"]),
+], ids=["no-serials", "top-level-list", "record-without-serial", "record-not-object",
+        "f_tol-zero-denominator", "f_tol-above-one", "f_tol-decimal",
+        "question-int", "question-unknown-axis", "question-too-long"])
 def test_malformed_store_file_is_usage_error(tmp_path, capsys, command, corrupt):
     store, token, _ = _issue_qticket(tmp_path, capsys, N=16)
     bad = Path(store)
@@ -221,6 +247,20 @@ def test_malformed_store_file_is_usage_error(tmp_path, capsys, command, corrupt)
     assert store in capsys.readouterr().err
     assert bad.read_bytes() == before
     assert not (tmp_path / "new.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["qticket", "cv"])
+@pytest.mark.parametrize("ftol", ["3/2", "-1/2"])
+def test_issue_refuses_threshold_outside_unit_interval(tmp_path, capsys, kind, ftol):
+    store, _, _ = _issue_qticket(tmp_path, capsys, N=16)
+    before = Path(store).read_bytes()
+    new = tmp_path / "new.json"
+    rc = cli.main(["issue", "--kind", kind, "--N", "8", "--n", "2", "--r", "4",
+                   f"--ftol={ftol}", "--store", store, "--out", str(new)])
+    assert rc == cli.EXIT_USAGE
+    assert "f_tol must lie in [0, 1]" in capsys.readouterr().err
+    assert Path(store).read_bytes() == before
+    assert not new.exists()
 
 
 def test_verify_refuses_paired_token_kind(tmp_path, capsys):
@@ -318,6 +358,12 @@ def test_bounds_conditional_rows(capsys):
 def test_bounds_usage_errors(capsys):
     assert cli.main(["bounds", "--ftol", "9/10"]) == cli.EXIT_USAGE
     assert "need --N and/or --n/--r" in capsys.readouterr().err
+    # no certified cloning ceiling, so no multi-copy bound, beyond c = 2
+    for copies in ("0", "3"):
+        assert cli.main(["bounds", "--N", "200000", "--ftol", "1901/2000",
+                         "--copies", copies]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "cloning ceiling" in err
     assert cli.main(["bounds", "--N", "10", "--ftol", "9/10", "--n", "4"]) \
         == cli.EXIT_USAGE
     assert "--n and --r go together" in capsys.readouterr().err

@@ -9,9 +9,10 @@ import pytest
 
 from qtokens import wire
 from qtokens.channels import depolarizing, depolarizing_for_fidelity, identity_channel
+from qtokens.bounds import cv_complementary_bound
 from qtokens.cv import (AXES, PAIRINGS, QUESTION_POLICIES, ChallengeQuestion,
                         CvLayout, CvToken, CvVerifier, apply_noise, complement_question,
-                        complementary_double_spend_bound, cv_issue,
+                        cv_issue,
                         double_spend_experiment, honest_answer,
                         honest_protocol_experiment, random_question, register,
                         run_holder, score_answer)
@@ -456,8 +457,10 @@ def test_double_spend_report_shape(rng):
     assert report.trials == 50
     assert 0.0 <= report.rate <= 1.0
     assert 0.0 <= report.mean_pair_utility <= 1.0
-    # below the paired-token threshold the union bound is vacuous
+    # below the paired-token threshold both pairings' bounds are vacuous
     assert report.bound == 1.0
+    assert double_spend_experiment(layout, IntermediateBasisAttacker(),
+                                   "complementary", 50, rng).bound == 1.0
     with pytest.raises(ValueError):
         double_spend_experiment(layout, IntermediateBasisAttacker(), "twice", 5, rng)
 
@@ -481,7 +484,7 @@ def test_intermediate_basis_complementary_utility_ceiling(rng):
     sigma = math.sqrt(0.25 / scored)
     assert report.mean_pair_utility <= O.COS2_PI_8 + 4.0 * sigma
     assert report.mean_pair_utility >= O.COS2_PI_8 - 6.0 * sigma
-    assert report.bound == complementary_double_spend_bound(layout)
+    assert report.bound == cv_complementary_bound(4, 64, layout.f_tol).clamped
     assert report.bound < 1.0
     assert report.rate <= report.bound
 
@@ -503,12 +506,6 @@ def test_double_spend_matches_object_level_reference(attacker, pairing, rng):
         < 4.0 * math.sqrt(p * (1.0 - p)) * scale
     assert abs(utilities.mean() - report.mean_pair_utility) \
         < 4.0 * utilities.std() * scale
-
-
-def test_complementary_bound_vacuous_below_game_value():
-    assert complementary_double_spend_bound(CvLayout(4, 16, Fraction(3, 4))) == 1.0
-    tight = complementary_double_spend_bound(CvLayout(20, 200, Fraction(23, 25)))
-    assert 0.0 < tight < 1e-6
 
 
 def test_pairings_registry():

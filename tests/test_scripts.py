@@ -21,6 +21,11 @@ def test_bound_tables_runs():
     proc = _run_script("bound_tables.py")
     assert proc.returncode == 0, proc.stderr
     assert "measured tokens" in proc.stdout and "paired tokens" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["thresholds:",
+                         "  1 issued copies -> F_tol > 5/6",
+                         "  2 issued copies -> F_tol > 11/12"]
+    assert not any(line.startswith("  3 issued copies") for line in lines)
 
 
 def test_run_sweep_writes_one_csv_per_strategy(tmp_path):

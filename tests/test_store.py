@@ -47,6 +47,20 @@ def test_duplicate_serial_rejected():
                      np.zeros((1, 3, 2), dtype=np.uint8))
 
 
+def test_add_refuses_thresholds_outside_unit_interval():
+    store = SecretStore()
+    for f_tol in (Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=r"f_tol must lie in \[0, 1\]"):
+            store.add_qticket("m", LABELS6, f_tol)
+        with pytest.raises(ValueError, match=r"f_tol must lie in \[0, 1\]"):
+            store.add_cv("p", 1, 3, f_tol, np.zeros((1, 3, 2), dtype=np.uint8))
+    with pytest.raises(UnknownSerialError):
+        store.get("m")
+    store.add_qticket("zero", LABELS6, Fraction(0))
+    store.add_cv("one", 1, 3, 1, np.zeros((1, 3, 2), dtype=np.uint8))
+    assert store.get("zero")["f_tol"] == "0/1" and store.get("one")["f_tol"] == "1/1"
+
+
 def test_unknown_serial_error_message():
     store = SecretStore()
     with pytest.raises(UnknownSerialError, match="unknown-serial: ghost"):
@@ -59,6 +73,7 @@ def test_save_load_round_trip(tmp_path):
     store.add_qticket("s1", LABELS6, Fraction(9, 10), issued_copies=2)
     store.add_cv("s2", 2, 3, Fraction(3, 4), np.zeros((2, 3, 2), dtype=np.uint8))
     store.try_accept("s1")
+    store.stash_question("s2", ["Z", "X"])
     store.save()
 
     again = SecretStore(path)
@@ -83,13 +98,24 @@ def test_load_rejects_unknown_version(tmp_path):
     ("serial", 7),
     ("issued_copies", None),
     ("attempts", None),
+    ("f_tol", "1/0"),
+    ("f_tol", "3/2"),
+    ("f_tol", "-1/2"),
+    ("f_tol", "0.9"),
+    ("f_tol", " 9/10"),
+    ("question", 5),
+    ("question", ["Q"]),
+    ("question", ["Z", "X"]),
 ], ids=["f_tol-float", "count-bool", "count-string", "serial-int",
-        "qticket-without-copies", "cv-without-attempts"])
+        "qticket-without-copies", "cv-without-attempts", "f_tol-zero-denominator",
+        "f_tol-above-one", "f_tol-negative", "f_tol-decimal", "f_tol-padded",
+        "question-int", "question-unknown-axis", "question-too-long"])
 def test_load_rejects_records_off_the_layout(tmp_path, field, value):
     path = tmp_path / "store.json"
     store = SecretStore(path)
     store.add_qticket("s1", LABELS6, Fraction(9, 10))
     store.add_cv("s2", 1, 3, Fraction(3, 4), np.zeros((1, 3, 2), dtype=np.uint8))
+    store.stash_question("s2", ["X"])
     store.save()
     data = json.loads(path.read_text())
     for rec in data["serials"]:
