@@ -94,11 +94,13 @@ def chernoff_tail(n: int, gamma: float, delta: float) -> float:
 def threshold_game_bound(block_values: Sequence[float], gamma: float) -> float:
     """Bound 2 e^{-n D(gamma||delta)} on the selective value of the game that
     pays out when at least a gamma fraction of n blocks are answered well;
-    delta is the mean of the given per-block values."""
+    delta is the mean of the given per-block values, clamped into their
+    range since a float mean of equal values can round ulps past them."""
     n = len(block_values)
     if n < 1:
         raise ValueError("need at least one block value")
-    return 2.0 * chernoff_tail(n, gamma, float(np.mean(block_values)))
+    delta = float(np.clip(np.mean(block_values), min(block_values), max(block_values)))
+    return 2.0 * chernoff_tail(n, gamma, delta)
 
 
 def _exp_neg(scale: int, rate: float) -> float:

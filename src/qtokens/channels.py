@@ -15,22 +15,23 @@ class QubitChannel:
     """Completely positive trace-preserving map on one qubit.
 
     ``kraus`` operators K_i must satisfy sum_i K_i^dagger K_i = identity
-    within 1e-10; this is checked at construction.
+    within 1e-10; this is checked at construction.  States are mapped by the
+    4x4 superoperator S[(a,d),(b,c)] = sum_k K[a,b] conj(K[d,c]).
     """
 
     name: str
     kraus: tuple[np.ndarray, ...]
-    _stack: np.ndarray = field(init=False, repr=False)
+    _superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         stack = np.stack([np.asarray(k, dtype=complex) for k in self.kraus])
         if stack.shape[1:] != (2, 2):
             raise ValueError("Kraus operators must be 2x2")
-        total = np.einsum("kba,kbc->ac", stack.conj(), stack)
-        if np.max(np.abs(total - I2)) > ATOL_COMPLETENESS:
+        if np.max(np.abs(np.einsum("kba,kbc->ac", stack.conj(), stack) - I2)) > ATOL_COMPLETENESS:
             raise ValueError(f"{self.name}: Kraus completeness violated beyond {ATOL_COMPLETENESS}")
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
+        superop = np.einsum("kab,kdc->adbc", stack, stack.conj()).reshape(4, 4)
+        superop.setflags(write=False)
+        object.__setattr__(self, "_superop", superop)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -39,9 +40,10 @@ class QubitChannel:
         return self.apply_to_stack(rho[None])[0]
 
     def apply_to_stack(self, states: np.ndarray) -> np.ndarray:
-        """Apply to an (N, 2, 2) stack of states in one shot."""
-        k = self._stack
-        return np.einsum("kab,nbc,kdc->nad", k, states, k.conj())
+        """Apply to every 2x2 state of a (..., 2, 2) stack in one product."""
+        if states.shape[-2:] != (2, 2):
+            raise ValueError(f"{self.name} expects a stack of 2x2 states, got {states.shape}")
+        return (states.reshape(-1, 4) @ self._superop.T).reshape(states.shape)
 
 
 def identity_channel() -> QubitChannel:

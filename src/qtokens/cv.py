@@ -151,11 +151,10 @@ def cv_issue(layout: CvLayout, rng: np.random.Generator,
 
 
 def apply_noise(token: CvToken, channel: QubitChannel) -> CvToken:
-    n, r = token.shape
     flat = channel.apply_to_stack(token.qubits.reshape(-1, 2, 2))
     # spot-check the first output rather than all of them (cost control)
     check_density_matrix(flat[0], name="degraded qubit")
-    return CvToken(token.serial, flat.reshape(n, r, 2, 2, 2))
+    return CvToken(token.serial, flat.reshape(token.qubits.shape))
 
 
 def random_question(layout: CvLayout, rng: np.random.Generator) -> ChallengeQuestion:
@@ -283,8 +282,7 @@ class CvVerifier:
         if reply.get("question_id") != question.question_id:
             return self._finish(chan, False, "question-mismatch")
         try:
-            outcomes = np.asarray(wire.decode_outcomes(reply["outcomes"]),
-                                  dtype=np.uint8)
+            outcomes = wire.decode_outcomes(reply["outcomes"])
             card = score_answer(secret, question, outcomes, layout)
         except (KeyError, TypeError, ValueError, wire.ProtocolError) as exc:
             return self._abort(chan, "protocol-error", f"malformed answer: {exc}")

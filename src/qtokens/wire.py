@@ -10,6 +10,8 @@ import json
 import socket
 from typing import Any
 
+import numpy as np
+
 PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
@@ -126,30 +128,25 @@ def challenge_message(question_id: str, axes) -> dict[str, Any]:
 
 def answer_message(question_id: str, outcomes) -> dict[str, Any]:
     # outcome bits travel as "0"/"1" strings
-    grid = [[[str(int(b)) for b in pair] for pair in block] for block in outcomes]
-    return _base("answer") | {"question_id": question_id, "outcomes": grid}
+    bits = np.asarray(outcomes)
+    ones = bits == 1
+    if not (ones | (bits == 0)).all():
+        raise ValueError("outcome bits must be 0 or 1")
+    return _base("answer") | {"question_id": question_id,
+                              "outcomes": np.where(ones, "1", "0").tolist()}
 
 
-def decode_outcomes(grid) -> list[list[list[int]]]:
-    """Inverse of the answer_message bit encoding, with validation."""
-    try:
-        decoded = [[[_bit(b) for b in _aslist(pair)] for pair in _aslist(block)]
-                   for block in _aslist(grid)]
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed outcomes grid: {exc}") from exc
-    return decoded
-
-
-def _aslist(x) -> list:
-    if not isinstance(x, list):
-        raise TypeError(f"expected a list, got {type(x).__name__}")
-    return x
-
-
-def _bit(b) -> int:
-    if b not in ("0", "1"):
-        raise ValueError(f"outcome bit must be '0' or '1', got {b!r}")
-    return int(b)
+def decode_outcomes(grid) -> np.ndarray:
+    """Inverse of the answer_message bit encoding: the validated uint8 bit array."""
+    cells = np.array(grid, dtype=object)
+    if cells.ndim != 3 or cells.shape[2] != 2:
+        raise ProtocolError(f"malformed outcomes grid: not (blocks, positions, 2): {cells.shape}")
+    ones = cells == "1"
+    bad = ~(ones | (cells == "0"))
+    if bad.any():
+        raise ProtocolError("malformed outcomes grid: outcome bit must be '0' or '1', "
+                            f"got {cells[bad][0]!r}")
+    return ones.view(np.uint8)
 
 
 def verdict_message(accepted: bool, reason: str | None = None) -> dict[str, Any]:

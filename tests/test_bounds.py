@@ -351,3 +351,10 @@ def test_threshold_game_bound_values():
         threshold_game_bound([0.8, 0.9], 0.5)
     with pytest.raises(ValueError):
         threshold_game_bound([], 0.5)
+
+
+def test_threshold_game_bound_mean_of_equal_values_stays_in_range():
+    # the float mean of 42 copies of CV_THRESHOLD rounds ulps above it, which
+    # used to put delta past gamma one ulp above the values
+    got = threshold_game_bound([CV_THRESHOLD] * 42, np.nextafter(CV_THRESHOLD, 1))
+    assert 2.0 - 1e-12 < got <= 2.0

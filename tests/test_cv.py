@@ -325,6 +325,21 @@ def test_wire_malformed_answer_aborts(rng):
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
 
 
+def test_wire_ragged_answer_is_protocol_error(rng):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    with _spawned_verifier(verifier.serve_one) as (hchan, result):
+        hchan.send(wire.hello_message(secret.serial))
+        challenge = hchan.recv()
+        ragged = wire.answer_message(challenge["question_id"], _perfect_sheet(secret))
+        ragged["outcomes"][-1].pop()
+        hchan.send(ragged)
+        msg = hchan.recv()
+    assert msg["type"] == "error" and msg["code"] == "protocol-error"
+    assert msg["detail"].startswith("malformed answer: malformed outcomes grid")
+    assert result[0] == msg
+    assert store.get(secret.serial)["accepted_count"] == 0
+
+
 def test_wire_non_answer_reply_aborts(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
     with _spawned_verifier(verifier.serve_one) as (hchan, _):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qtokens import wire
 
@@ -71,6 +72,62 @@ def test_decode_outcomes_rejects_non_bits():
         wire.decode_outcomes([[[0, 1]]])
     with pytest.raises(wire.ProtocolError):
         wire.decode_outcomes("01")
+
+
+@pytest.mark.parametrize("grid", [
+    [[["0", "1"], ["1", "0"]], [["0", "1"]]],    # ragged blocks
+    [[["0", "1"], ["1"]]],                       # ragged pair
+    [[["0", 1]]],                                # mixed string and int
+    [[["0", True]]],
+    True,
+    [[["0", ["1"]]]],                            # nested list where a bit belongs
+    [[[["0", "1"]]]],
+    [],
+    [[[]]],
+    "01",
+    None,
+    {"0": "1"},
+])
+def test_decode_outcomes_owns_every_rejection(grid):
+    with pytest.raises(wire.ProtocolError, match="malformed outcomes grid"):
+        wire.decode_outcomes(grid)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["0", "1", "", "01"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=24)
+
+
+@given(_JSON)
+def test_decode_outcomes_accepts_only_bit_grids(grid):
+    try:
+        got = wire.decode_outcomes(grid)
+    except wire.ProtocolError:
+        return
+    assert got.dtype == np.uint8 and got.ndim == 3 and got.shape[2] == 2
+    assert wire.answer_message("q", got)["outcomes"] == grid
+
+
+def test_answer_message_wire_bytes_are_pinned():
+    bits = np.array([[[0, 1], [1, 1], [0, 0]], [[1, 0], [0, 1], [1, 1]]], dtype=np.uint8)
+    raw = wire.serialize(wire.answer_message("0123456789abcdef", bits))
+    assert raw == (b'{"outcomes":[[["0","1"],["1","1"],["0","0"]],'
+                   b'[["1","0"],["0","1"],["1","1"]]],'
+                   b'"question_id":"0123456789abcdef","type":"answer","v":1}\n')
+    # bool and plain-list bits encode the same way
+    assert wire.serialize(wire.answer_message("0123456789abcdef", bits.astype(bool))) == raw
+    assert wire.serialize(wire.answer_message("0123456789abcdef", bits.tolist())) == raw
+    got = wire.decode_outcomes(wire.parse(raw[:-1])["outcomes"])
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, bits)
+
+
+@pytest.mark.parametrize("bad", [[[[0, 2]]], [[[-1, 0]]], [[[0.5, 1]]]])
+def test_answer_message_refuses_non_bits(bad):
+    with pytest.raises(ValueError):
+        wire.answer_message("q", bad)
 
 
 def test_verdict_message_is_slim():
