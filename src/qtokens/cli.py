@@ -25,6 +25,7 @@ from .bounds import (CLONING_CEILING, CV_THRESHOLD, SINGLE_COPY_THRESHOLD,
                      multicopy_security_bound, multicopy_threshold,
                      security_bound, soundness_bound)
 from .channels import depolarizing_for_fidelity
+from .core import check_density_matrix
 from .cv import (CvLayout, CvToken, CvVerifier, QUESTION_POLICIES,
                  apply_noise, cv_issue, register, run_holder)
 from .games import (build_cv_pair_games, mixed_question_value,
@@ -170,7 +171,8 @@ def cmd_verify(args) -> int:
     except UnknownSerialError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PROTOCOL
-    store.save()
+    if outcome.accepted:    # a refusal leaves the store as it was loaded
+        store.save()
     print(json.dumps({"accepted": outcome.accepted,
                       "correct_count": outcome.correct_count,
                       "serial": outcome.serial,
@@ -452,6 +454,11 @@ def _demo_connect(args) -> int:
         print(f"cv-demo: token kind {kind!r} is not redeemable over the wire",
               file=sys.stderr)
         return EXIT_USAGE
+    # checked here, not in CvToken, so simulated holders skip the eigvalsh
+    if qubits.ndim != 5 or qubits.shape[2:] != (2, 2, 2) or min(qubits.shape[:2]) < 1:
+        raise ValueError(f"paired token qubits must form an (n, r, 2, 2, 2) stack "
+                         f"with n, r >= 1, got shape {qubits.shape}")
+    check_density_matrix(qubits, name="token qubit")
     token = CvToken(serial, qubits)
     if args.noise_fidelity is not None:
         token = apply_noise(token, depolarizing_for_fidelity(args.noise_fidelity))

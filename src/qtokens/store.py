@@ -15,9 +15,14 @@ A paired-token record may also hold the last "question" asked, one of
 "Z"/"X" per block.  Every "f_tol" is written and read as "p/q" with
 0 <= p <= q and q >= 1.
 
+The file is one compact JSON line; ``load`` also reads the indented form
+that earlier versions wrote.
+
 Acceptance and attempt counters are bumped under a lock with
-compare-and-increment semantics so concurrent verifier threads cannot
-overshoot a serial's budget.
+compare-and-increment semantics so concurrent verifier threads of one
+process cannot overshoot a serial's budget.  The lock serialises threads
+only: two processes that each load, change and save one file are not yet
+serialised, and the later save wins.
 """
 from __future__ import annotations
 
@@ -103,7 +108,11 @@ class SecretStore:
     # -- persistence ---------------------------------------------------
     def load(self) -> None:
         with open(self.path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"malformed store file {self.path}: "
+                                 "nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError(f"malformed store file {self.path}: not a JSON object")
         if data.get("version") != STORE_VERSION:
@@ -118,11 +127,13 @@ class SecretStore:
     def save(self) -> None:
         if self.path is None:
             raise ValueError("store has no backing path")
-        payload = {"version": STORE_VERSION, "serials": list(self._records.values())}
+        # json.dump to a file never takes the C encoder; dumps of one record
+        # at a time does, without buffering the whole store twice
+        records = ",".join(json.dumps(rec, separators=(",", ":"))
+                           for rec in self._records.values())
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{{"version":{STORE_VERSION},"serials":[{records}]}}\n')
         os.replace(tmp, self.path)
 
     # -- record management ----------------------------------------------
@@ -218,13 +229,15 @@ def token_payload(serial: str, qubits: np.ndarray, kind: str) -> dict[str, Any]:
 def write_token(path: str | os.PathLike, serial: str, qubits: np.ndarray,
                 kind: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(token_payload(serial, qubits, kind), fh)
-        fh.write("\n")
+        fh.write(json.dumps(token_payload(serial, qubits, kind)) + "\n")
 
 
 def read_token(path: str | os.PathLike) -> tuple[str, str, np.ndarray]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed token file {path}: nested too deeply") from None
     try:
         kind, serial = data["kind"], data["serial"]
         if not (isinstance(kind, str) and isinstance(serial, str)):

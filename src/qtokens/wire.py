@@ -45,6 +45,8 @@ def parse(line: bytes) -> dict[str, Any]:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"bad message framing: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError("bad message framing: nested too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
     if "v" in message and message["v"] != PROTOCOL_VERSION:

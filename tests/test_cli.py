@@ -18,7 +18,7 @@ from qtokens.cli import ExperimentConfig, sweep_rows
 from qtokens.qticket import double_acceptance_exact
 from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.rng import default_seed
-from qtokens.store import SecretStore, UnknownSerialError, write_token
+from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
 
 # -- sweep ------------------------------------------------------------------
@@ -137,6 +137,47 @@ def test_verify_accepts_until_copy_budget_spent(tmp_path, capsys):
     assert rc == cli.EXIT_REJECTED
     assert verdict["accepted"] is False
     assert verdict["reason"] == "serial-exhausted"
+
+
+def _file_state(path: str) -> tuple[bytes, int, int]:
+    st = os.stat(path)
+    return Path(path).read_bytes(), st.st_mtime_ns, st.st_ino
+
+
+def test_only_an_accepted_verify_rewrites_the_store(tmp_path, capsys):
+    store, token, serial = _issue_qticket(tmp_path, capsys, N=64)
+    mixed = str(tmp_path / "mixed.json")
+    write_token(mixed, serial, np.broadcast_to(np.eye(2) / 2, (64, 2, 2)), kind="qticket")
+    argv = ["verify", "--store", store, "--token"]
+    issued = _file_state(store)
+    assert cli.main(argv + [mixed, "--seed", "1"]) == cli.EXIT_REJECTED
+    below = json.loads(capsys.readouterr().out)
+    # under the threshold ceil(5/6 * 64) = 54, a refusal without a reason code
+    assert below["correct_count"] < 54 and below["reason"] is None
+    assert _file_state(store) == issued
+    assert cli.main(argv + [token, "--seed", "2"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
+    accepted = _file_state(store)
+    assert accepted[0] != issued[0] and accepted[2] != issued[2]
+    assert SecretStore(store).get(serial)["accepted_count"] == 1
+    assert cli.main(argv + [token, "--seed", "3"]) == cli.EXIT_REJECTED
+    assert json.loads(capsys.readouterr().out)["reason"] == "serial-exhausted"
+    assert _file_state(store) == accepted
+
+
+def test_verify_refuses_deeply_nested_files(tmp_path, capsys):
+    store, token, serial = _issue_qticket(tmp_path, capsys, N=16)
+    deep = tmp_path / "deep.json"
+    deep.write_text(f'{{"kind":"qticket","serial":"{serial}","qubits":' + "[" * 100_000)
+    rc = cli.main(["verify", "--store", store, "--token", str(deep)])
+    assert rc == cli.EXIT_USAGE
+    assert "malformed token file" in capsys.readouterr().err
+    Path(store).write_text('{"version":1,"serials":' + "[" * 100_000)
+    before = Path(store).read_bytes()
+    rc = cli.main(["verify", "--store", store, "--token", token])
+    assert rc == cli.EXIT_USAGE
+    assert "malformed store file" in capsys.readouterr().err
+    assert Path(store).read_bytes() == before
 
 
 def test_verify_unknown_serial_is_protocol_failure(tmp_path, capsys):
@@ -484,6 +525,29 @@ def test_demo_connect_dead_port_is_protocol_failure(tmp_path, capsys):
                    "--token", token, "--quiet"])
     assert rc == cli.EXIT_USAGE
     assert "malformed token file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forge", [
+    lambda qubits: 2 * qubits,                  # trace 2 at every position
+    lambda qubits: qubits.reshape(-1, 2, 2),    # a measured-token stack
+], ids=["trace-2", "not-paired-shape"])
+def test_demo_connect_refuses_non_states_before_connecting(tmp_path, capsys, forge):
+    store = str(tmp_path / "s.json")
+    token = str(tmp_path / "t.json")
+    assert cli.main(["issue", "--kind", "cv", "--n", "2", "--r", "4",
+                     "--ftol", "1/2", "--store", store, "--out", token,
+                     "--seed", "8"]) == 0
+    capsys.readouterr()
+    _, serial, qubits = read_token(token)
+    write_token(token, serial, forge(qubits), kind="cv")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+    # any connection attempt to the unbound port would exit EXIT_PROTOCOL
+    rc = cli.main(["cv-demo", "--connect", f"127.0.0.1:{dead_port}",
+                   "--token", token, "--quiet"])
+    assert rc == cli.EXIT_USAGE
+    assert "token qubit" in capsys.readouterr().err
 
 
 def _start_listener(store: str, seed: int) -> tuple[subprocess.Popen, int]:

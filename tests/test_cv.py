@@ -325,6 +325,18 @@ def test_wire_malformed_answer_aborts(rng):
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
 
 
+def test_wire_deeply_nested_answer_is_protocol_error(rng):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    with _spawned_verifier(verifier.serve_one) as (hchan, result):
+        hchan.send(wire.hello_message(secret.serial))
+        hchan.recv()
+        hchan._sock.sendall(b'{"type":"answer","outcomes":' + b"[" * 100_000 + b"\n")
+        msg = hchan.recv()
+    assert msg["type"] == "error" and msg["code"] == "protocol-error"
+    assert result == [msg]
+    assert store.get(secret.serial)["accepted_count"] == 0
+
+
 def test_wire_ragged_answer_is_protocol_error(rng):
     layout, secret, token, store, verifier = _fresh_setup(rng)
     with _spawned_verifier(verifier.serve_one) as (hchan, result):

@@ -1,4 +1,5 @@
 """Secret store records, persistence, budgets, token files."""
+import io
 import json
 import sys
 import threading
@@ -7,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtokens.store import (SecretStore, UnknownSerialError,
-                           labels_from_strings, read_token, write_token)
+from qtokens.store import (SecretStore, UnknownSerialError, labels_from_strings,
+                           read_token, token_payload, write_token)
 
 
 LABELS6 = np.array([0, 1, 2, 3, 4, 5], dtype=np.uint8)
@@ -224,3 +225,81 @@ def test_labels_from_strings_round_trip():
     for bad in (["Q+"], ["Z+", "Q+"], [None], [["Z+"]]):
         with pytest.raises(ValueError):
             labels_from_strings(bad)
+
+
+def _two_record_store(path) -> SecretStore:
+    store = SecretStore(path)
+    store.add_qticket("m", np.array([0, 3], dtype=np.uint8), Fraction(5, 6))
+    store.add_cv("p", 1, 2, Fraction(3, 4), np.array([[[0, 2], [3, 1]]], dtype=np.uint8))
+    store.stash_question("p", ["X"])
+    return store
+
+
+def test_save_writes_one_compact_line(tmp_path):
+    path = tmp_path / "store.json"
+    _two_record_store(path).save()
+    assert path.read_bytes() == (
+        b'{"version":1,"serials":['
+        b'{"serial":"m","labels":["Z+","X-"],"f_tol":"5/6",'
+        b'"issued_copies":1,"accepted_count":0},'
+        b'{"serial":"p","n":1,"r":2,"f_tol":"3/4","pairs":[["Z+","X+"],["X-","Z-"]],'
+        b'"attempts":0,"accepted_count":0,"question":["X"]}]}\n')
+    assert not (tmp_path / "store.json.tmp").exists()
+    SecretStore(tmp_path / "empty.json").save()
+    assert (tmp_path / "empty.json").read_bytes() == b'{"version":1,"serials":[]}\n'
+
+
+def test_indented_store_of_earlier_versions_loads(tmp_path):
+    # earlier versions wrote json.dump(payload, fh, indent=1) plus a newline
+    fresh = _two_record_store(None)
+    payload = {"version": 1, "serials": [fresh.get("m"), fresh.get("p")]}
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+    old = SecretStore(path)
+    assert old.get("m") == fresh.get("m") and old.get("p") == fresh.get("p")
+    old.save()
+    again = SecretStore(path)
+    assert again.get("m") == fresh.get("m") and again.get("p") == fresh.get("p")
+    assert json.loads(path.read_text()) == payload
+
+
+def test_write_token_bytes_match_json_dump(tmp_path):
+    # token files keep json.dump's default separators, byte for byte
+    path = tmp_path / "token.json"
+    write_token(path, "s", np.array([[[1, 0], [0, 0]]], dtype=complex), kind="qticket")
+    assert path.read_bytes() == (b'{"kind": "qticket", "serial": "s", "qubits": '
+                                 b'[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}\n')
+    qubits = np.array([[[0.5, 0.5j], [-0.5j, 0.5]]])
+    write_token(path, "serial-y", qubits, kind="cv")
+    dumped = io.StringIO()
+    json.dump(token_payload("serial-y", qubits, "cv"), dumped)
+    assert path.read_text() == dumped.getvalue() + "\n"
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                    reason="this Python has no C JSON encoder")
+def test_store_and_token_files_bypass_the_pure_python_encoder(tmp_path, monkeypatch):
+    def slow_path(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    store = _two_record_store(tmp_path / "store.json")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", slow_path)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({"a": 1}, indent=1)       # the patch does reach the slow path
+    store.save()
+    write_token(tmp_path / "token.json", "s", np.eye(2)[None] / 2, kind="qticket")
+    assert SecretStore(tmp_path / "store.json").get("p") == store.get("p")
+
+
+DEEP = "[" * 100_000
+
+
+def test_deeply_nested_files_are_malformed(tmp_path):
+    store_path = tmp_path / "store.json"
+    store_path.write_text('{"version":1,"serials":' + DEEP)
+    with pytest.raises(ValueError, match="malformed store file"):
+        SecretStore(store_path)
+    token_path = tmp_path / "token.json"
+    token_path.write_text('{"kind":"qticket","serial":"s","qubits":' + DEEP)
+    with pytest.raises(ValueError, match="malformed token file"):
+        read_token(token_path)

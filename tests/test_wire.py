@@ -32,6 +32,8 @@ def test_parse_rejects_bad_lines():
         wire.parse(b"[1,2,3]")
     with pytest.raises(wire.ProtocolError):
         wire.parse(b'{"type":"gossip"}')
+    with pytest.raises(wire.ProtocolError, match="nested too deeply"):
+        wire.parse(b'{"type":"answer","outcomes":' + b"[" * 100_000)
 
 
 def test_parse_version_handling():
