@@ -9,7 +9,7 @@ from .bounds import (BoundReport, InsecureParametersError, chernoff_tail,
 from .channels import (QubitChannel, amplitude_damping, average_fidelity,
                        dephasing, depolarizing, depolarizing_for_fidelity,
                        identity_channel)
-from .core import LABELS
+from .core import LABELS, Token, TokenConsumedError
 from .attacks import (CV_ATTACKERS, PAIR_STRATEGIES, PairCloneStrategy,
                       PairOutcomeDist, pair_outcome_distribution,
                       sequential_attack_rate)
@@ -18,8 +18,7 @@ from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
                  honest_answer, honest_protocol_experiment, run_holder,
                  score_answer)
 from .games import Wqrg, build_cv_pair_games, selective_value
-from .qticket import (QticketSecret, TokenConsumedError, TokenInstance,
-                      Verifier, VerificationOutcome, VerifierPolicy,
+from .qticket import (QticketSecret, Verifier, VerificationOutcome, VerifierPolicy,
                       double_acceptance_exact, exact_honest_acceptance, degrade,
                       issue, multicopy_issue, verify)
 from .rng import default_seed, root_rng

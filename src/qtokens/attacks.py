@@ -53,9 +53,6 @@ class PairCloneStrategy:
     name: str
     map_stack: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply_stack(np.asarray(rho)[None])[0]
-
     def apply_stack(self, states: np.ndarray) -> np.ndarray:
         return self.map_stack(np.asarray(states, dtype=complex))
 
@@ -290,9 +287,7 @@ class IntermediateBasisAttacker:
     bit_zero = staticmethod(intermediate_bit_zero)
 
     def prepare(self, token: CvToken, rng: np.random.Generator) -> None:
-        if token.consumed:
-            raise ValueError("token already consumed")
-        token.consumed = True
+        token.consume()
         self._bits = intermediate_basis_bits(token.qubits, rng)
 
     def answer(self, question: ChallengeQuestion,

@@ -6,6 +6,7 @@ rejected, 2 invalid usage or parameters, 3 protocol or lookup failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import socket
@@ -25,13 +26,11 @@ from .bounds import (CLONING_CEILING, CV_THRESHOLD, SINGLE_COPY_THRESHOLD,
                      multicopy_security_bound, multicopy_threshold,
                      security_bound, soundness_bound)
 from .channels import depolarizing_for_fidelity
-from .core import check_density_matrix
-from .cv import (CvLayout, CvToken, CvVerifier, QUESTION_POLICIES,
-                 apply_noise, cv_issue, register, run_holder)
+from .cv import (CvLayout, CvToken, CvVerifier, QUESTION_POLICIES, cv_issue,
+                 register, run_holder)
 from .games import (build_cv_pair_games, mixed_question_value,
                     repeated_question_game, selective_value)
-from .qticket import (TokenInstance, Verifier, double_acceptance_exact,
-                      multicopy_issue)
+from .qticket import Verifier, degrade, double_acceptance_exact, issue
 from .rational import as_fraction
 from .rng import default_seed, root_rng
 from .store import SecretStore, UnknownSerialError, read_token, write_token
@@ -59,6 +58,7 @@ def _hostport(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+@functools.cache    # once per process: main() called in-process reuses it
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qtl", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -143,15 +143,14 @@ def cmd_issue(args) -> int:
         if args.N < 1 or args.copies < 1:
             print("issue: --N and --copies must be positive", file=sys.stderr)
             return EXIT_USAGE
-        secret, tokens = multicopy_issue(args.N, args.copies, rng)
+        secret, token = issue(args.N, rng)    # the copies share its states
         store.add_qticket(secret.serial, secret.labels, args.ftol,
                           issued_copies=args.copies)
-        write_token(args.out, secret.serial, tokens[0].qubits, kind="qticket")
     else:
         layout = CvLayout(args.n, args.r, args.ftol)
         secret, token = cv_issue(layout, rng)
         register(store, layout, secret)
-        write_token(args.out, secret.serial, token.qubits, kind="cv")
+    write_token(args.out, token)
     store.save()
     print(secret.serial)
     return EXIT_OK
@@ -160,12 +159,10 @@ def cmd_issue(args) -> int:
 def cmd_verify(args) -> int:
     rng = _seeded(args)
     store = SecretStore(args.store)
-    kind, serial, qubits = read_token(args.token)
-    if kind != "qticket":
-        print(f"verify: cannot verify kind {kind!r} locally; use cv-demo",
-              file=sys.stderr)
+    token = read_token(args.token)
+    if isinstance(token, CvToken):
+        print("verify: cannot verify kind 'cv' locally; use cv-demo", file=sys.stderr)
         return EXIT_USAGE
-    token = TokenInstance(serial, qubits)
     try:
         outcome = Verifier(store).redeem(token, rng)
     except UnknownSerialError as exc:
@@ -375,9 +372,7 @@ def _emit(args, direction: str, message: dict) -> None:
 
 
 def _verdict_exit(message: dict | None) -> int:
-    if message is None:
-        return EXIT_PROTOCOL
-    if message["type"] == "error":
+    if message is None or message["type"] == "error":
         return EXIT_PROTOCOL
     return EXIT_OK if message.get("accepted") else EXIT_REJECTED
 
@@ -406,7 +401,7 @@ def _demo_in_process(args) -> int:
     secret, token = cv_issue(layout, rng)
     register(store, layout, secret)
     if args.noise_fidelity is not None:
-        token = apply_noise(token, depolarizing_for_fidelity(args.noise_fidelity))
+        token = degrade(token, depolarizing_for_fidelity(args.noise_fidelity))
     verifier = CvVerifier(store, rng.spawn(1)[0], question_policy=args.policy)
     holder_chan, verifier_chan = wire.LineChannel.pair()
     thread = threading.Thread(target=verifier.serve_one, args=(verifier_chan,),
@@ -449,19 +444,12 @@ def _demo_connect(args) -> int:
         print("cv-demo --connect needs --token", file=sys.stderr)
         return EXIT_USAGE
     rng = _seeded(args)
-    kind, serial, qubits = read_token(args.token)
-    if kind != "cv":
-        print(f"cv-demo: token kind {kind!r} is not redeemable over the wire",
-              file=sys.stderr)
+    token = read_token(args.token)
+    if not isinstance(token, CvToken):
+        print("cv-demo: a measured token is not redeemable over the wire", file=sys.stderr)
         return EXIT_USAGE
-    # checked here, not in CvToken, so simulated holders skip the eigvalsh
-    if qubits.ndim != 5 or qubits.shape[2:] != (2, 2, 2) or min(qubits.shape[:2]) < 1:
-        raise ValueError(f"paired token qubits must form an (n, r, 2, 2, 2) stack "
-                         f"with n, r >= 1, got shape {qubits.shape}")
-    check_density_matrix(qubits, name="token qubit")
-    token = CvToken(serial, qubits)
     if args.noise_fidelity is not None:
-        token = apply_noise(token, depolarizing_for_fidelity(args.noise_fidelity))
+        token = degrade(token, depolarizing_for_fidelity(args.noise_fidelity))
     host, port = args.connect
     try:
         with wire.LineChannel.connect(host, port) as chan:

@@ -1,4 +1,4 @@
-"""Single- and two-qubit operator arithmetic and the six-state set.
+"""Single- and two-qubit operator arithmetic, the six-state set, tokens.
 
 Everything in this package works with dense complex matrices of dimension
 2 or 4.  States are numpy arrays validated by :func:`check_density_matrix`;
@@ -9,6 +9,8 @@ second-moment identity (pairwise average equal to one third of the
 symmetric projector) is the workhorse fact behind the cloning analysis.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,3 +78,43 @@ def check_density_matrix(m: np.ndarray, *, name: str = "state") -> np.ndarray:
     if low < -ATOL_EIGENVALUE:
         raise ValueError(f"{name}: negative eigenvalue {low}")
     return m
+
+
+# -- tokens: a stack is checked where outside qubits enter, never as built
+
+class TokenConsumedError(RuntimeError):
+    """A token was measured a second time."""
+
+
+@dataclass(eq=False)
+class Token:
+    """Holder-side physical token; measuring it consumes it."""
+
+    serial: str
+    qubits: np.ndarray
+    consumed: bool = False
+
+    def consume(self) -> None:
+        if self.consumed:
+            raise TokenConsumedError(f"token {self.serial} already consumed")
+        self.consumed = True
+
+
+class CvToken(Token):
+    """Paired token: qubits of shape (n, r, 2, 2, 2)."""
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.qubits.shape[:2]
+
+
+def check_token_stack(qubits, paired: bool) -> np.ndarray:
+    """Token qubits as a complex array once they form an (N, 2, 2) stack of
+    density matrices, or an (n, r, 2, 2, 2) one if ``paired``."""
+    qubits = np.asarray(qubits, dtype=complex)
+    lead = 2 if paired else 1
+    if qubits.shape[lead:] != (2,) * (lead + 1) or 0 in qubits.shape:
+        layout = "(n, r, 2, 2, 2)" if paired else "(N, 2, 2)"
+        raise ValueError(f"token qubits must form an {layout} stack, "
+                         f"got shape {qubits.shape}")
+    return check_density_matrix(qubits, name="token qubit")

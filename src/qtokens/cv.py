@@ -23,7 +23,7 @@ from .bounds import (BoundReport, InsecureParametersError,
                      cv_soundness_bound)
 from .channels import QubitChannel, average_fidelity, identity_channel
 from .core import (AXIS_NAMES, CV_PAIRS, EIGENBITS, LABEL_AXES, LABELS,
-                   PROJECTOR_STACK, check_density_matrix)
+                   PROJECTOR_STACK, CvToken)
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
 from .store import SecretStore, UnknownSerialError, labels_from_strings
@@ -63,17 +63,6 @@ class CvLayout:
 class CvSecret:
     serial: str
     pairs: np.ndarray          # (n, r, 2) uint8 label indices
-
-
-@dataclass(eq=False)
-class CvToken:
-    serial: str
-    qubits: np.ndarray         # (n, r, 2, 2, 2) product states
-    consumed: bool = False
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.qubits.shape[0], self.qubits.shape[1]
 
 
 @dataclass(frozen=True)
@@ -150,13 +139,6 @@ def cv_issue(layout: CvLayout, rng: np.random.Generator,
     return CvSecret(serial, pairs), CvToken(serial, qubits)
 
 
-def apply_noise(token: CvToken, channel: QubitChannel) -> CvToken:
-    flat = channel.apply_to_stack(token.qubits.reshape(-1, 2, 2))
-    # spot-check the first output rather than all of them (cost control)
-    check_density_matrix(flat[0], name="degraded qubit")
-    return CvToken(token.serial, flat.reshape(token.qubits.shape))
-
-
 def random_question(layout: CvLayout, rng: np.random.Generator) -> ChallengeQuestion:
     picks = rng.integers(0, 2, size=layout.n_blocks)
     return ChallengeQuestion(rng.bytes(8).hex(), tuple(AXES[i] for i in picks))
@@ -176,10 +158,8 @@ def honest_answer(token: CvToken, question: ChallengeQuestion,
     n = token.shape[0]
     if len(question.axes) != n:
         raise ValueError(f"question covers {len(question.axes)} blocks, token has {n}")
-    if token.consumed:
-        raise ValueError("token already consumed")
-    token.consumed = True
-    qubits = token.qubits if noise is None else apply_noise(token, noise).qubits
+    token.consume()
+    qubits = token.qubits if noise is None else noise.apply_to_stack(token.qubits)
     p_zero = measured_bit_zero(qubits, _question_codes(question)[:, None, None])
     return AnswerSheet(question.question_id, sample_bits(p_zero, rng))
 
@@ -210,10 +190,9 @@ def register(store: SecretStore, layout: CvLayout, secret: CvSecret) -> None:
 
 
 def _secret_from_record(rec: dict) -> tuple[CvLayout, CvSecret]:
-    layout = CvLayout(int(rec["n"]), int(rec["r"]), Fraction(rec["f_tol"]))
+    layout = CvLayout(rec["n"], rec["r"], Fraction(rec["f_tol"]))
     pairs = labels_from_strings([s for pair in rec["pairs"] for s in pair])
-    pairs = pairs.reshape(layout.n_blocks, layout.block_size, 2)
-    return layout, CvSecret(rec["serial"], pairs)
+    return layout, CvSecret(rec["serial"], pairs.reshape(rec["n"], rec["r"], 2))
 
 
 # ---------------------------------------------------------------------------

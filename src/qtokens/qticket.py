@@ -1,16 +1,13 @@
 """Measured quantum tokens: issuance, degradation, verification, oracles.
 
-A token is a list of qubits prepared in states drawn uniformly from the
-six-state set; the issuer remembers the labels under a random serial.  The
-verifier measures every position against its recorded label and accepts
-when at least ceil(F_tol * N) outcomes match.  Acceptance thresholds are
-exact rationals; see :mod:`qtokens.rational`.
-
-A :class:`TokenInstance` is only the serial and the qubits; it checks at
-construction that the qubits form an (N, 2, 2) stack of density matrices,
-so a file of arbitrary matrices cannot pass for a token.  Pair-cloning
-counterfeits are judged through :func:`joint_outcome_laws`, the one place
-the four-way law of two verified halves is computed.
+A token is a :class:`~qtokens.core.Token` whose N qubits are prepared in
+states drawn uniformly from the six-state set; the issuer remembers the
+labels under a random serial.  The verifier checks the (N, 2, 2) stack as
+density matrices, measures every position against its recorded label and
+accepts when at least ceil(F_tol * N) outcomes match.  Acceptance thresholds
+are exact rationals; see :mod:`qtokens.rational`.  Pair-cloning counterfeits
+are judged through :func:`joint_outcome_laws`, the one place the four-way
+law of two verified halves is computed.
 """
 from __future__ import annotations
 
@@ -22,14 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .channels import QubitChannel
-from .core import I2, PROJECTOR_STACK, LABELS, check_density_matrix
+from .core import I2, LABELS, PROJECTOR_STACK, Token, check_token_stack
 from .rational import as_fraction, threshold_count
 from .rng import new_serial
 from .store import SecretStore, UnknownSerialError, labels_from_strings
-
-
-class TokenConsumedError(RuntimeError):
-    """A token instance was submitted for verification twice."""
 
 
 @dataclass(frozen=True)
@@ -61,28 +54,6 @@ def joint_outcome_laws(projectors: np.ndarray, states: np.ndarray) -> np.ndarray
     return laws
 
 
-@dataclass(eq=False)
-class TokenInstance:
-    """Holder-side physical token; verification consumes it.  Construction
-    raises ValueError unless the qubits are an (N, 2, 2) stack of density
-    matrices with N >= 1."""
-
-    serial: str
-    qubits: np.ndarray                             # (N, 2, 2) density matrices
-    consumed: bool = False
-
-    def __post_init__(self) -> None:
-        qubits = np.asarray(self.qubits, dtype=complex)
-        if qubits.shape[1:] != (2, 2) or len(qubits) < 1:
-            raise ValueError(f"token qubits must form an (N, 2, 2) stack with "
-                             f"N >= 1, got shape {qubits.shape}")
-        self.qubits = check_density_matrix(qubits, name="token qubit")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubits)
-
-
 @dataclass(frozen=True)
 class VerifierPolicy:
     """Acceptance rule: at least ceil(f_tol * n_qubits) matches."""
@@ -108,7 +79,7 @@ class VerificationOutcome:
     reason: str | None = None
 
 
-def issue(n_qubits: int, rng: np.random.Generator) -> tuple[QticketSecret, TokenInstance]:
+def issue(n_qubits: int, rng: np.random.Generator) -> tuple[QticketSecret, Token]:
     """Draw N labels uniformly, mint a serial, emit the exact token."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
@@ -118,7 +89,7 @@ def issue(n_qubits: int, rng: np.random.Generator) -> tuple[QticketSecret, Token
 
 
 def multicopy_issue(n_qubits: int, copies: int,
-                    rng: np.random.Generator) -> tuple[QticketSecret, list[TokenInstance]]:
+                    rng: np.random.Generator) -> tuple[QticketSecret, list[Token]]:
     """c identical tokens sharing one serial and one label draw."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
@@ -126,33 +97,36 @@ def multicopy_issue(n_qubits: int, copies: int,
     return secret, [first] + [token_from_secret(secret) for _ in range(copies - 1)]
 
 
-def token_from_secret(secret: QticketSecret) -> TokenInstance:
-    return TokenInstance(secret.serial, PROJECTOR_STACK[secret.labels].copy())
+def token_from_secret(secret: QticketSecret) -> Token:
+    return Token(secret.serial, PROJECTOR_STACK[secret.labels].copy())
 
 
-def degrade(token: TokenInstance, channel: QubitChannel) -> TokenInstance:
-    """Pass every qubit through the channel; returns a fresh instance."""
-    return TokenInstance(token.serial, channel.apply_to_stack(token.qubits))
+def degrade(token: Token, channel: QubitChannel) -> Token:
+    """A fresh token of the same class whose every qubit passed the channel."""
+    return type(token)(token.serial, channel.apply_to_stack(token.qubits))
 
 
-def verify(secret: QticketSecret, token: TokenInstance, policy: VerifierPolicy,
+def verify(secret: QticketSecret, token: Token, policy: VerifierPolicy,
            rng: np.random.Generator) -> VerificationOutcome:
     """Measure every position against the recorded label; consume the token.
 
-    Accepts iff the match count reaches policy.k_min.  Serial mismatch
-    raises :class:`UnknownSerialError`.
+    Accepts iff the match count reaches policy.k_min; a refusal carries the
+    reason "below-threshold".  Serial mismatch raises
+    :class:`UnknownSerialError`; qubits that are not an (N, 2, 2) stack of
+    density matrices raise ValueError and leave the token unconsumed.
     """
-    if token.consumed:
-        raise TokenConsumedError(f"token {token.serial} already verified")
     if token.serial != secret.serial:
         raise UnknownSerialError(f"unknown-serial: {token.serial}")
-    if token.n_qubits != policy.n_qubits or len(secret) != policy.n_qubits:
+    qubits = check_token_stack(token.qubits, paired=False)
+    if len(qubits) != policy.n_qubits or len(secret) != policy.n_qubits:
         raise ValueError("token/secret length does not match policy")
-    token.consumed = True
-    probs = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], token.qubits).real
-    bits = rng.random(token.n_qubits) < np.clip(probs, 0.0, 1.0)
+    token.consume()
+    probs = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], qubits).real
+    bits = rng.random(len(qubits)) < np.clip(probs, 0.0, 1.0)
     count = int(bits.sum())
-    return VerificationOutcome(count >= policy.k_min, count, token.serial)
+    accepted = count >= policy.k_min
+    return VerificationOutcome(accepted, count, token.serial,
+                               None if accepted else "below-threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +243,12 @@ class Verifier:
     def __init__(self, store: SecretStore):
         self.store = store
 
-    def redeem(self, token: TokenInstance, rng: np.random.Generator) -> VerificationOutcome:
+    def redeem(self, token: Token, rng: np.random.Generator) -> VerificationOutcome:
         rec = self.store.get(token.serial)   # raises UnknownSerialError
         if "labels" not in rec:
             raise ValueError(f"serial {token.serial} is not a measured-token record")
-        if rec["accepted_count"] >= rec["issued_copies"]:
-            token.consumed = True
+        if self.store.spent(token.serial):
+            token.consume()
             return VerificationOutcome(False, 0, token.serial, reason="serial-exhausted")
         secret = QticketSecret(rec["serial"], labels_from_strings(rec["labels"]))
         policy = VerifierPolicy(Fraction(rec["f_tol"]), len(secret))

@@ -13,7 +13,9 @@ Store layout::
 
 A paired-token record may also hold the last "question" asked, one of
 "Z"/"X" per block.  Every "f_tol" is written and read as "p/q" with
-0 <= p <= q and q >= 1.
+0 <= p <= q and q >= 1.  Labels are non-empty and named as in
+``qtokens.core.LABELS``; n, r and "issued_copies" are >= 1, "pairs" holds
+n * r two-name lists, and no counter is negative.
 
 The file is one compact JSON line; ``load`` also reads the indented form
 that earlier versions wrote.
@@ -35,7 +37,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import AXIS_NAMES, LABELS
+from .core import AXIS_NAMES, LABELS, CvToken, Token, check_token_stack
 from .rational import as_fraction
 
 STORE_VERSION = 1
@@ -75,12 +77,11 @@ _CV_FIELDS = {"n": int, "r": int, "pairs": list, "attempts": int}
 
 def _has_fields(rec: dict, fields: dict[str, type]) -> bool:
     # exact type match: JSON true/false must not pass for an int
-    return all(type(rec.get(key)) is kind for key, kind in fields.items())
+    return tuple(map(type, map(rec.get, fields))) == tuple(fields.values())
 
 
 def _valid_question(rec: dict) -> bool:
-    """No stashed question, or one challenge axis name per block of a
-    paired-token record."""
+    """No stashed question, or one challenge axis per block of a paired record."""
     if "question" not in rec:
         return True
     question = rec["question"]
@@ -88,11 +89,46 @@ def _valid_question(rec: dict) -> bool:
             and all(axis in _CHALLENGE_AXES for axis in question))
 
 
+_LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
+
+
+def _valid_kind(rec: dict) -> bool:
+    # whole-list operations only (set, map, zip): every load reads every record
+    try:
+        if _has_fields(rec, _QTICKET_FIELDS):
+            labels = rec["labels"]
+            return (rec["issued_copies"] >= 1 and labels != []
+                    and set(labels) <= _LABEL_CODES.keys())
+        pairs = rec.get("pairs")
+        if not (_has_fields(rec, _CV_FIELDS) and min(rec["n"], rec["r"]) >= 1
+                and rec["attempts"] >= 0 and len(pairs) == rec["n"] * rec["r"]
+                and set(map(type, pairs)) == {list}):
+            return False
+        first, second = zip(*pairs, strict=True)    # ValueError unless pairs
+        return set(first + second) <= _LABEL_CODES.keys()
+    except (TypeError, ValueError):     # an unhashable name, or not pairs
+        return False
+
+
 def _valid_record(rec: Any) -> bool:
     """True for a measured-token or a paired-token record of the layout above."""
     return (isinstance(rec, dict) and _has_fields(rec, _COMMON_FIELDS)
-            and _is_threshold(rec["f_tol"]) and _valid_question(rec)
-            and (_has_fields(rec, _QTICKET_FIELDS) or _has_fields(rec, _CV_FIELDS)))
+            and rec["accepted_count"] >= 0 and _is_threshold(rec["f_tol"])
+            and _valid_question(rec) and _valid_kind(rec))
+
+
+def _read_json(path: str | os.PathLike, what: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed {what} file {path}: nested too deeply") from None
+
+
+def _spent(rec: dict) -> bool:
+    """The one budget rule: a serial is spent once accepted as often as its
+    copies were issued (one for a paired token)."""
+    return rec["accepted_count"] >= rec.get("issued_copies", 1)
 
 
 class SecretStore:
@@ -107,12 +143,7 @@ class SecretStore:
 
     # -- persistence ---------------------------------------------------
     def load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"malformed store file {self.path}: "
-                                 "nested too deeply") from None
+        data = _read_json(self.path, "store")
         if not isinstance(data, dict):
             raise ValueError(f"malformed store file {self.path}: not a JSON object")
         if data.get("version") != STORE_VERSION:
@@ -137,35 +168,25 @@ class SecretStore:
         os.replace(tmp, self.path)
 
     # -- record management ----------------------------------------------
+    def _add(self, rec: dict[str, Any]) -> None:
+        with self._lock:
+            if rec["serial"] in self._records:
+                raise ValueError(f"serial {rec['serial']} already present")
+            self._records[rec["serial"]] = rec
+
     def add_qticket(self, serial: str, labels: np.ndarray, f_tol: Fraction,
                     issued_copies: int = 1) -> None:
-        with self._lock:
-            if serial in self._records:
-                raise ValueError(f"serial {serial} already present")
-            self._records[serial] = {
-                "serial": serial,
-                "labels": [LABELS[i] for i in np.asarray(labels)],
-                "f_tol": _threshold_str(f_tol),
-                "issued_copies": int(issued_copies),
-                "accepted_count": 0,
-            }
+        self._add({"serial": serial, "labels": [LABELS[i] for i in np.asarray(labels)],
+                   "f_tol": _threshold_str(f_tol), "issued_copies": int(issued_copies),
+                   "accepted_count": 0})
 
     def add_cv(self, serial: str, n: int, r: int, f_tol: Fraction,
                pairs: np.ndarray) -> None:
         """``pairs``: (n, r, 2) array of label indices."""
         flat = [[LABELS[a], LABELS[b]] for a, b in np.asarray(pairs).reshape(-1, 2)]
-        with self._lock:
-            if serial in self._records:
-                raise ValueError(f"serial {serial} already present")
-            self._records[serial] = {
-                "serial": serial,
-                "n": int(n),
-                "r": int(r),
-                "f_tol": _threshold_str(f_tol),
-                "pairs": flat,
-                "attempts": 0,
-                "accepted_count": 0,
-            }
+        self._add({"serial": serial, "n": int(n), "r": int(r),
+                   "f_tol": _threshold_str(f_tol), "pairs": flat, "attempts": 0,
+                   "accepted_count": 0})
 
     def get(self, serial: str) -> dict[str, Any]:
         try:
@@ -174,12 +195,15 @@ class SecretStore:
             raise UnknownSerialError(f"unknown-serial: {serial}") from None
 
     # -- accounting ------------------------------------------------------
+    def spent(self, serial: str) -> bool:
+        """True once the serial has no acceptance left."""
+        return _spent(self.get(serial))
+
     def try_accept(self, serial: str) -> bool:
         """Atomically count an acceptance if the serial's budget allows it."""
         with self._lock:
             rec = self.get(serial)
-            budget = rec.get("issued_copies", 1)
-            if rec["accepted_count"] >= budget:
+            if _spent(rec):
                 return False
             rec["accepted_count"] += 1
             return True
@@ -192,7 +216,7 @@ class SecretStore:
         """
         with self._lock:
             rec = self.get(serial)
-            if rec["accepted_count"] >= 1:
+            if _spent(rec):
                 return "already-redeemed"
             if rec["attempts"] >= max_attempts:
                 return "attempt-budget-exceeded"
@@ -209,12 +233,6 @@ class SecretStore:
 
 # -- token payload serialization ---------------------------------------
 
-def _encode_stack(stack: np.ndarray) -> list:
-    """Complex array -> nested lists of [re, im] pairs (row-major)."""
-    pairs = np.stack([stack.real, stack.imag], axis=-1)
-    return pairs.tolist()
-
-
 def _decode_stack(payload: list) -> np.ndarray:
     arr = np.asarray(payload, dtype=float)
     if arr.shape[-1:] != (2,):
@@ -222,32 +240,35 @@ def _decode_stack(payload: list) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def token_payload(serial: str, qubits: np.ndarray, kind: str) -> dict[str, Any]:
-    return {"kind": kind, "serial": serial, "qubits": _encode_stack(qubits)}
+#: The token class of each token file kind.
+_TOKEN_KINDS = {"qticket": Token, "cv": CvToken}
 
 
-def write_token(path: str | os.PathLike, serial: str, qubits: np.ndarray,
-                kind: str) -> None:
+def write_token(path: str | os.PathLike, token: Token) -> None:
+    """Write a token file: its kind follows the token's class, and each
+    complex entry is an [re, im] pair."""
+    q = token.qubits
+    payload = {"kind": "cv" if isinstance(token, CvToken) else "qticket",
+               "serial": token.serial, "qubits": np.stack([q.real, q.imag], -1).tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(token_payload(serial, qubits, kind)) + "\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
-def read_token(path: str | os.PathLike) -> tuple[str, str, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"malformed token file {path}: nested too deeply") from None
+def read_token(path: str | os.PathLike) -> Token:
+    """Read a token file; raises ValueError unless its qubits form the
+    stack of density matrices its kind asks for."""
+    data = _read_json(path, "token")
     try:
         kind, serial = data["kind"], data["serial"]
         if not (isinstance(kind, str) and isinstance(serial, str)):
             raise TypeError("kind and serial must be strings")
-        return kind, serial, _decode_stack(data["qubits"])
+        if kind not in _TOKEN_KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        qubits = _decode_stack(data["qubits"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed token file {path}: {exc}") from exc
-
-
-_LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
+    cls = _TOKEN_KINDS[kind]
+    return cls(serial, check_token_stack(qubits, paired=cls is CvToken))
 
 
 def labels_from_strings(strings: list[str]) -> np.ndarray:

@@ -39,8 +39,8 @@ from qtokens.core import LABELS, PROJECTOR_STACK, check_density_matrix
 from qtokens.cv import (CvVerifier, complement_question, cv_issue,
                         random_question, register, score_answer)
 from qtokens.games import Wqrg
-from qtokens.qticket import (TokenConsumedError, TokenInstance,
-                             VerificationOutcome, token_from_secret, verify)
+from qtokens.core import Token, TokenConsumedError
+from qtokens.qticket import VerificationOutcome, token_from_secret, verify
 from qtokens.rational import threshold_count
 from qtokens.store import SecretStore, UnknownSerialError
 
@@ -626,7 +626,7 @@ class CounterfeitHalf:
         return len(self.pair.states)
 
 
-def counterfeit(token: TokenInstance, strategy,
+def counterfeit(token: Token, strategy,
                 rng: np.random.Generator | None = None
                 ) -> tuple[CounterfeitHalf, CounterfeitHalf]:
     """Consume a token and emit two correlated counterfeits with its serial.
@@ -634,7 +634,7 @@ def counterfeit(token: TokenInstance, strategy,
     The joint four-outcome measurement is sampled once, at first
     verification, drawing from ``rng`` when one is supplied here.
     """
-    if not isinstance(token, TokenInstance):
+    if not isinstance(token, Token):
         raise ValueError("can only clone a token with definite qubit states")
     if token.consumed:
         raise ValueError("token already consumed")
@@ -667,9 +667,9 @@ def verify_half(secret, half: CounterfeitHalf, policy,
 # accept history.  Every submission is consumed against the same secret, by
 # qticket.verify or, for counterfeit halves, by verify_half.
 
-def _junk_token(serial: str, n_qubits: int, rng: np.random.Generator) -> TokenInstance:
+def _junk_token(serial: str, n_qubits: int, rng: np.random.Generator) -> Token:
     labels = rng.integers(0, len(LABELS), size=n_qubits)
-    return TokenInstance(serial, PROJECTOR_STACK[labels].copy())
+    return Token(serial, PROJECTOR_STACK[labels].copy())
 
 
 @dataclass(eq=False)
@@ -683,10 +683,10 @@ class CloneThenAdaptDriver:
     _n: int = 0
 
     def begin(self, token, policy, rng) -> None:
-        self._serial, self._n = token.serial, token.n_qubits
+        self._serial, self._n = token.serial, len(token.qubits)
         self._halves = list(counterfeit(token, UNIVERSAL_CLONER, rng))
 
-    def submission(self, history, rng) -> TokenInstance:
+    def submission(self, history, rng) -> Token:
         if self._halves:
             return self._halves.pop(0)
         return _junk_token(self._serial, self._n, rng)
@@ -706,12 +706,12 @@ class ResubmitAfterRejectDriver:
             raise ValueError("driver needs the fresh physical token")
         token.consumed = True
         p0 = np.clip(token.qubits[:, 0, 0].real, 0.0, 1.0)
-        ones = rng.random(token.n_qubits) >= p0
+        ones = rng.random(len(token.qubits)) >= p0
         self._prep = PROJECTOR_STACK[np.where(ones, 1, 0)]
         self._serial = token.serial
 
-    def submission(self, history, rng) -> TokenInstance:
-        return TokenInstance(self._serial, self._prep.copy())
+    def submission(self, history, rng) -> Token:
+        return Token(self._serial, self._prep.copy())
 
 
 @dataclass(eq=False)
@@ -720,15 +720,15 @@ class HonestOnceThenNoiseDriver:
     guessed substitutes at the rest."""
 
     name: str = "honest-once-then-noise"
-    _token: TokenInstance | None = field(default=None, repr=False)
+    _token: Token | None = field(default=None, repr=False)
     _serial: str = ""
     _n: int = 0
 
     def begin(self, token, policy, rng) -> None:
         self._token = token
-        self._serial, self._n = token.serial, token.n_qubits
+        self._serial, self._n = token.serial, len(token.qubits)
 
-    def submission(self, history, rng) -> TokenInstance:
+    def submission(self, history, rng) -> Token:
         if self._token is not None:
             genuine, self._token = self._token, None
             return genuine

@@ -13,11 +13,14 @@ from qtokens.attacks import (CV_ATTACKERS, INTERMEDIATE_BASIS,
                              double_accept_mc, intermediate_basis_bits,
                              mixture_outcome_distribution,
                              pair_outcome_distribution, sequential_attack_rate)
+from qtokens import TokenConsumedError
 from qtokens.bounds import learning_bound
 from qtokens.core import LABELS
-from qtokens.cv import CvLayout, cv_issue, random_question, score_answer
+from qtokens.cv import (CvLayout, cv_issue, honest_answer, random_question,
+                        score_answer)
 from qtokens.qticket import (QticketSecret, VerifierPolicy,
-                             double_acceptance_exact, issue, token_from_secret)
+                             double_acceptance_exact, issue, token_from_secret,
+                             verify)
 
 import oracles as O
 
@@ -94,7 +97,7 @@ def test_strategies_are_trace_preserving_and_positive(rng):
     assert set(REFERENCE_MAPS) == set(PAIR_STRATEGIES)
     for name, strat in PAIR_STRATEGIES.items():
         for rho in states:
-            out = strat(rho)
+            out = strat.apply_stack(rho[None])[0]
             assert abs(np.trace(out).real - 1.0) < 1e-12
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(out).min() > -1e-12
@@ -279,10 +282,27 @@ def test_intermediate_attacker_commits_once(rng):
     a2 = attacker.answer(q2, rng)
     assert a1 is a2
     assert a1.shape == (3, 8, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TokenConsumedError):
         attacker.prepare(token, rng)
     with pytest.raises(RuntimeError):
         IntermediateBasisAttacker().answer(q1, rng)
+
+
+@pytest.mark.parametrize("consumer", ["verify", "honest-answer", "intermediate-basis"])
+def test_every_consumer_refuses_a_consumed_token(rng, consumer):
+    secret, token = issue(8, rng)
+    policy = VerifierPolicy(Fraction(1, 2), 8)
+    verify(secret, token, policy, rng)
+    layout = CvLayout(2, 3, Fraction(1, 2))
+    _, paired = cv_issue(layout, rng)
+    question = random_question(layout, rng)
+    honest_answer(paired, question, None, rng)
+    consume = {"verify": lambda: verify(secret, token, policy, rng),
+               "honest-answer": lambda: honest_answer(paired, question, None, rng),
+               "intermediate-basis": lambda: IntermediateBasisAttacker().prepare(paired, rng),
+               }[consumer]
+    with pytest.raises(TokenConsumedError):
+        consume()
 
 
 def test_honest_copy_attacker_replays_first_sheet(rng):

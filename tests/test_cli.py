@@ -18,6 +18,7 @@ from qtokens.cli import ExperimentConfig, sweep_rows
 from qtokens.qticket import double_acceptance_exact
 from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.rng import default_seed
+from qtokens.core import CvToken, Token
 from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
 
@@ -147,13 +148,13 @@ def _file_state(path: str) -> tuple[bytes, int, int]:
 def test_only_an_accepted_verify_rewrites_the_store(tmp_path, capsys):
     store, token, serial = _issue_qticket(tmp_path, capsys, N=64)
     mixed = str(tmp_path / "mixed.json")
-    write_token(mixed, serial, np.broadcast_to(np.eye(2) / 2, (64, 2, 2)), kind="qticket")
+    write_token(mixed, Token(serial, np.broadcast_to(np.eye(2) / 2, (64, 2, 2))))
     argv = ["verify", "--store", store, "--token"]
     issued = _file_state(store)
     assert cli.main(argv + [mixed, "--seed", "1"]) == cli.EXIT_REJECTED
     below = json.loads(capsys.readouterr().out)
-    # under the threshold ceil(5/6 * 64) = 54, a refusal without a reason code
-    assert below["correct_count"] < 54 and below["reason"] is None
+    # under the threshold ceil(5/6 * 64) = 54
+    assert below["correct_count"] < 54 and below["reason"] == "below-threshold"
     assert _file_state(store) == issued
     assert cli.main(argv + [token, "--seed", "2"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["accepted"] is True
@@ -200,7 +201,7 @@ def test_verify_refuses_forged_qubits(tmp_path, capsys, forged):
     # knowing the serial is not enough: a file of non-states is no token
     store, token, serial = _issue_qticket(tmp_path, capsys, N=64)
     fake = str(tmp_path / "forged.json")
-    write_token(fake, serial, forged(64), kind="qticket")
+    write_token(fake, Token(serial, forged(64)))
     rc = cli.main(["verify", "--store", store, "--token", fake, "--seed", "1"])
     assert rc == cli.EXIT_USAGE
     assert capsys.readouterr().out == ""
@@ -247,6 +248,23 @@ def _store_with_f_tol(text: str):
     return corrupt
 
 
+def _store_with(**changes):
+    # the measured record, changed
+    def corrupt(genuine: dict) -> dict:
+        genuine["serials"][0].update(changes)
+        return genuine
+    return corrupt
+
+
+def _store_with_pairs(n, r, pairs):
+    def corrupt(genuine: dict) -> dict:
+        genuine["serials"].append({
+            "serial": "paired", "n": n, "r": r, "f_tol": "3/4", "pairs": pairs,
+            "attempts": 0, "accepted_count": 0})
+        return genuine
+    return corrupt
+
+
 def _store_with_question(question):
     # a paired record whose stashed question a fixed-policy verifier reuses
     def corrupt(genuine: dict) -> dict:
@@ -270,9 +288,18 @@ def _store_with_question(question):
     _store_with_question(5),
     _store_with_question(["Q", "Z"]),
     _store_with_question(["Z", "X", "Z"]),
+    _store_with(labels=["Z+", "Q+"]),
+    _store_with(labels=[]),
+    _store_with(issued_copies=0),
+    _store_with(accepted_count=-1),
+    _store_with_pairs(1, 2, [["Z+", "X+"], ["Q+", "X+"]]),
+    _store_with_pairs(1, 2, [["Z+", "X+"]]),
+    _store_with_pairs(-1, -2, [["Z+", "X+"], ["X-", "Z-"]]),
 ], ids=["no-serials", "top-level-list", "record-without-serial", "record-not-object",
         "f_tol-zero-denominator", "f_tol-above-one", "f_tol-decimal",
-        "question-int", "question-unknown-axis", "question-too-long"])
+        "question-int", "question-unknown-axis", "question-too-long",
+        "label-unknown", "labels-empty", "copies-zero", "count-negative",
+        "pair-unknown-label", "pairs-too-few", "n-and-r-negative"])
 def test_malformed_store_file_is_usage_error(tmp_path, capsys, command, corrupt):
     store, token, _ = _issue_qticket(tmp_path, capsys, N=16)
     bad = Path(store)
@@ -538,8 +565,8 @@ def test_demo_connect_refuses_non_states_before_connecting(tmp_path, capsys, for
                      "--ftol", "1/2", "--store", store, "--out", token,
                      "--seed", "8"]) == 0
     capsys.readouterr()
-    _, serial, qubits = read_token(token)
-    write_token(token, serial, forge(qubits), kind="cv")
+    issued = read_token(token)
+    write_token(token, CvToken(issued.serial, forge(issued.qubits)))
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]

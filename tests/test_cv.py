@@ -1,5 +1,6 @@
 """Paired-block tokens: issuance, scoring, wire sessions, experiments."""
 import contextlib
+import json
 import math
 import threading
 from fractions import Fraction
@@ -10,13 +11,15 @@ import pytest
 from qtokens import wire
 from qtokens.channels import depolarizing, depolarizing_for_fidelity, identity_channel
 from qtokens.bounds import cv_complementary_bound
+from qtokens.core import TokenConsumedError
 from qtokens.cv import (AXES, PAIRINGS, QUESTION_POLICIES, ChallengeQuestion,
-                        CvLayout, CvToken, CvVerifier, apply_noise, complement_question,
+                        CvLayout, CvToken, CvVerifier, complement_question,
                         cv_issue,
                         double_spend_experiment, honest_answer,
                         honest_protocol_experiment, random_question, register,
                         run_holder, score_answer)
 from qtokens.attacks import HonestCopyAttacker, IntermediateBasisAttacker
+from qtokens.qticket import degrade
 from qtokens.store import SecretStore
 
 import oracles as O
@@ -111,7 +114,7 @@ def test_honest_noiseless_answers_accept(rng):
     assert card.accepted
     assert card.per_block_correct == (8, 8, 8)
     assert card.k_min == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(TokenConsumedError):
         honest_answer(token, question, None, rng)
 
 
@@ -199,12 +202,13 @@ def test_noisy_honest_acceptance_matches_binomial_law(rng):
     assert abs(hits - p * trials) < 4.0 * sigma
 
 
-def test_apply_noise(rng):
+def test_degrade_keeps_a_paired_token_paired(rng):
     layout = CvLayout(2, 5, Fraction(3, 4))
     _, token = cv_issue(layout, rng)
-    same = apply_noise(token, identity_channel())
+    same = degrade(token, identity_channel())
+    assert isinstance(same, CvToken) and same.shape == (2, 5)
     np.testing.assert_allclose(same.qubits, token.qubits, atol=1e-15)
-    mixed = apply_noise(token, depolarizing(1.0))
+    mixed = degrade(token, depolarizing(1.0))
     np.testing.assert_allclose(mixed.qubits,
                                np.broadcast_to(np.eye(2) / 2, (2, 5, 2, 2, 2)),
                                atol=1e-15)
@@ -371,6 +375,28 @@ def test_wire_qticket_serial_is_not_paired(rng):
         hchan.send(wire.hello_message(q_secret.serial))
         msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
+
+
+def test_stored_pair_with_unknown_label_is_refused_before_any_session(tmp_path, rng):
+    # loaded, the record would raise ValueError out of serve_one mid-session
+    # and the holder would see the verifier hang up before challenging
+    layout = CvLayout(2, 4, Fraction(3, 4))
+    secret, token = cv_issue(layout, rng)
+    path = tmp_path / "store.json"
+    store = SecretStore(path)
+    register(store, layout, secret)
+    store.save()
+    issued = path.read_text()
+    data = json.loads(issued)
+    data["serials"][0]["pairs"][-1][0] = "Q+"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed store file"):
+        SecretStore(path)
+    path.write_text(issued)
+    verifier = CvVerifier(SecretStore(path), rng)
+    with _spawned_verifier(verifier.serve_one) as (hchan, result):
+        verdict = run_holder(hchan, token, rng)
+    assert verdict == result[0] == wire.verdict_message(True)
 
 
 @pytest.mark.parametrize("serial", [["x"], 5, None])

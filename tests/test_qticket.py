@@ -9,13 +9,12 @@ from hypothesis import given, strategies as st
 from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.bounds import soundness_bound
 from qtokens.channels import depolarizing, depolarizing_for_fidelity
-from qtokens.core import LABELS, PROJECTOR_STACK
-from qtokens.qticket import (QticketSecret, TokenConsumedError, TokenInstance,
-                             Verifier, VerificationOutcome, VerifierPolicy,
-                             degrade, double_acceptance_exact,
+from qtokens.core import LABELS, PROJECTOR_STACK, Token, TokenConsumedError
+from qtokens.qticket import (QticketSecret, Verifier, VerificationOutcome,
+                             VerifierPolicy, degrade, double_acceptance_exact,
                              exact_honest_acceptance, issue, multicopy_issue,
                              token_from_secret, verify)
-from qtokens.store import SecretStore, UnknownSerialError
+from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
 import oracles as O
 
@@ -80,9 +79,18 @@ def _last_position(bad):
     np.broadcast_to(np.eye(4) / 4, (8, 4, 4)),
 ], ids=["trace-2", "trace-2-last", "negative", "non-hermitian", "nan-scalar",
         "nan-stack", "empty", "two-qubit"])
-def test_token_rejects_what_is_not_a_qubit_stack(qubits):
+def test_token_rejects_what_is_not_a_qubit_stack(qubits, tmp_path, rng):
+    # checked where outside qubits enter: at verify, before it consumes the
+    # token, and when a token file is read
+    secret = QticketSecret("s", np.zeros(8, dtype=np.uint8))
+    token = Token("s", qubits)
     with pytest.raises(ValueError):
-        TokenInstance("s", qubits)
+        verify(secret, token, POLICY(Fraction(1, 2), 8), rng)
+    assert not token.consumed
+    path = tmp_path / "token.json"
+    write_token(path, token)
+    with pytest.raises(ValueError):
+        read_token(path)
 
 
 # -- verification -----------------------------------------------------------
@@ -92,6 +100,14 @@ def test_verify_honest_noiseless_is_certain(rng):
     out = verify(secret, token, POLICY(Fraction(9, 10), 120), rng)
     assert out.accepted and out.correct_count == 120
     assert out.serial == secret.serial and out.reason is None
+
+
+def test_verify_names_a_refusal_below_the_threshold(rng):
+    secret, _ = issue(64, rng)
+    mixed = Token(secret.serial, np.broadcast_to(np.eye(2) / 2, (64, 2, 2)))
+    out = verify(secret, mixed, POLICY(Fraction(5, 6), 64), rng)
+    assert not out.accepted and out.correct_count < 54
+    assert out.reason == "below-threshold"
 
 
 def test_verify_consumes_token(rng):
@@ -387,4 +403,5 @@ def test_correlated_pair_validates_shape(rng):
     with pytest.raises(ValueError):
         O.CorrelatedPair(np.zeros((4, 2, 2)))
     with pytest.raises(ValueError):
-        TokenInstance("s", None)
+        verify(QticketSecret("s", np.zeros(4, dtype=np.uint8)), Token("s", None),
+               POLICY(Fraction(1, 2), 4), rng)

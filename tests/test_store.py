@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qtokens.core import PROJECTOR_STACK, CvToken, Token
 from qtokens.store import (SecretStore, UnknownSerialError, labels_from_strings,
-                           read_token, token_payload, write_token)
+                           read_token, write_token)
 
 
 LABELS6 = np.array([0, 1, 2, 3, 4, 5], dtype=np.uint8)
@@ -92,26 +93,46 @@ def test_load_rejects_unknown_version(tmp_path):
         SecretStore(path)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("f_tol", 0.9),
-    ("accepted_count", True),
-    ("accepted_count", "0"),
-    ("serial", 7),
-    ("issued_copies", None),
-    ("attempts", None),
-    ("f_tol", "1/0"),
-    ("f_tol", "3/2"),
-    ("f_tol", "-1/2"),
-    ("f_tol", "0.9"),
-    ("f_tol", " 9/10"),
-    ("question", 5),
-    ("question", ["Q"]),
-    ("question", ["Z", "X"]),
+PAIR = ["Z+", "X+"]
+
+
+@pytest.mark.parametrize("changes", [
+    {"f_tol": 0.9},
+    {"accepted_count": True},
+    {"accepted_count": "0"},
+    {"serial": 7},
+    {"issued_copies": None},
+    {"attempts": None},
+    {"f_tol": "1/0"},
+    {"f_tol": "3/2"},
+    {"f_tol": "-1/2"},
+    {"f_tol": "0.9"},
+    {"f_tol": " 9/10"},
+    {"question": 5},
+    {"question": ["Q"]},
+    {"question": ["Z", "X"]},
+    {"labels": ["Z+", "Q+"]},
+    {"labels": [["Z+"]]},
+    {"labels": []},
+    {"pairs": [PAIR, PAIR, ["Q+", "X+"]]},
+    {"pairs": [PAIR, PAIR]},
+    {"pairs": [PAIR, PAIR, PAIR + ["Z-"]]},
+    {"pairs": ["Z+", "X+", "Z-"]},
+    {"pairs": [PAIR, PAIR, [["Z+"], "X+"]]},
+    {"n": 0, "question": None},
+    {"n": -1, "r": -3, "question": None},
+    {"issued_copies": 0},
+    {"accepted_count": -1},
+    {"attempts": -1},
 ], ids=["f_tol-float", "count-bool", "count-string", "serial-int",
         "qticket-without-copies", "cv-without-attempts", "f_tol-zero-denominator",
         "f_tol-above-one", "f_tol-negative", "f_tol-decimal", "f_tol-padded",
-        "question-int", "question-unknown-axis", "question-too-long"])
-def test_load_rejects_records_off_the_layout(tmp_path, field, value):
+        "question-int", "question-unknown-axis", "question-too-long",
+        "label-unknown", "label-nested", "labels-empty", "pair-unknown-label",
+        "pairs-too-few", "pair-of-three", "pairs-of-strings", "pair-nested",
+        "n-zero", "n-and-r-negative", "copies-zero", "count-negative",
+        "attempts-negative"])
+def test_load_rejects_records_off_the_layout(tmp_path, changes):
     path = tmp_path / "store.json"
     store = SecretStore(path)
     store.add_qticket("s1", LABELS6, Fraction(9, 10))
@@ -120,14 +141,26 @@ def test_load_rejects_records_off_the_layout(tmp_path, field, value):
     store.save()
     data = json.loads(path.read_text())
     for rec in data["serials"]:
-        if field in rec:
-            if value is None:
-                del rec[field]
-            else:
-                rec[field] = value
+        for field, value in changes.items():
+            if field in rec:
+                if value is None:
+                    del rec[field]
+                else:
+                    rec[field] = value
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="malformed store file"):
         SecretStore(path)
+
+
+def test_load_accepts_the_smallest_records(tmp_path):
+    path = tmp_path / "store.json"
+    store = SecretStore(path)
+    store.add_qticket("m", LABELS6[:1], Fraction(0))
+    store.add_cv("p", 1, 1, Fraction(1), np.array([[[0, 2]]], dtype=np.uint8))
+    store.try_accept("m")
+    store.save()
+    again = SecretStore(path)
+    assert again.get("m") == store.get("m") and again.get("p") == store.get("p")
 
 
 def test_save_requires_path():
@@ -139,7 +172,9 @@ def test_try_accept_budget():
     store = SecretStore()
     store.add_qticket("s", LABELS6, Fraction(1, 2), issued_copies=2)
     assert store.try_accept("s")
+    assert not store.spent("s")
     assert store.try_accept("s")
+    assert store.spent("s")
     assert not store.try_accept("s")
     assert store.get("s")["accepted_count"] == 2
 
@@ -208,14 +243,36 @@ def test_record_attempt_and_stash():
 
 def test_token_file_round_trip(tmp_path):
     path = tmp_path / "token.json"
-    qubits = (np.arange(16).reshape(4, 2, 2)
-              + 1j * np.arange(16, 32).reshape(4, 2, 2)) / 31.0
-    write_token(path, "serial-x", qubits, kind="qticket")
-    kind, serial, back = read_token(path)
-    assert (kind, serial) == ("qticket", "serial-x")
-    np.testing.assert_allclose(back, qubits, atol=1e-15)
+    # mixed states with complex coherences
+    qubits = 0.7 * PROJECTOR_STACK[[0, 2, 4, 5]] + 0.3 * np.eye(2) / 2
+    write_token(path, Token("serial-x", qubits))
+    back = read_token(path)
+    assert type(back) is Token and back.serial == "serial-x" and not back.consumed
+    np.testing.assert_allclose(back.qubits, qubits, atol=1e-15)
     payload = json.loads(path.read_text())
-    assert set(payload) == {"kind", "serial", "qubits"}
+    assert set(payload) == {"kind", "serial", "qubits"} and payload["kind"] == "qticket"
+    paired = PROJECTOR_STACK[np.array([[[0, 2], [3, 1]]])]    # (1, 2, 2, 2, 2)
+    write_token(path, CvToken("serial-y", paired))
+    back = read_token(path)
+    assert type(back) is CvToken and back.shape == (1, 2)
+    np.testing.assert_array_equal(back.qubits, paired)
+    assert json.loads(path.read_text())["kind"] == "cv"
+
+
+@pytest.mark.parametrize("kind, qubits", [
+    ("qticket", PROJECTOR_STACK[np.array([[[0, 2]]])]),
+    ("cv", PROJECTOR_STACK[[0, 2]]),
+    ("cv", np.zeros((0, 2, 2, 2, 2))),
+    ("cv", 2 * PROJECTOR_STACK[np.array([[[0, 2]]])]),
+    ("other", PROJECTOR_STACK[[0, 2]]),
+], ids=["qticket-with-paired-stack", "cv-with-measured-stack", "cv-empty",
+        "cv-trace-2", "unknown-kind"])
+def test_read_token_checks_the_stack_of_the_kind(tmp_path, kind, qubits):
+    path = tmp_path / "token.json"
+    pairs = np.stack([qubits.real, qubits.imag], axis=-1).tolist()
+    path.write_text(json.dumps({"kind": kind, "serial": "s", "qubits": pairs}))
+    with pytest.raises(ValueError):
+        read_token(path)
 
 
 def test_labels_from_strings_round_trip():
@@ -266,13 +323,14 @@ def test_indented_store_of_earlier_versions_loads(tmp_path):
 def test_write_token_bytes_match_json_dump(tmp_path):
     # token files keep json.dump's default separators, byte for byte
     path = tmp_path / "token.json"
-    write_token(path, "s", np.array([[[1, 0], [0, 0]]], dtype=complex), kind="qticket")
+    write_token(path, Token("s", np.array([[[1, 0], [0, 0]]], dtype=complex)))
     assert path.read_bytes() == (b'{"kind": "qticket", "serial": "s", "qubits": '
                                  b'[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}\n')
     qubits = np.array([[[0.5, 0.5j], [-0.5j, 0.5]]])
-    write_token(path, "serial-y", qubits, kind="cv")
+    write_token(path, CvToken("serial-y", qubits))
     dumped = io.StringIO()
-    json.dump(token_payload("serial-y", qubits, "cv"), dumped)
+    json.dump({"kind": "cv", "serial": "serial-y",
+               "qubits": np.stack([qubits.real, qubits.imag], axis=-1).tolist()}, dumped)
     assert path.read_text() == dumped.getvalue() + "\n"
 
 
@@ -287,7 +345,7 @@ def test_store_and_token_files_bypass_the_pure_python_encoder(tmp_path, monkeypa
     with pytest.raises(AssertionError, match="pure-Python"):
         json.dumps({"a": 1}, indent=1)       # the patch does reach the slow path
     store.save()
-    write_token(tmp_path / "token.json", "s", np.eye(2)[None] / 2, kind="qticket")
+    write_token(tmp_path / "token.json", Token("s", np.eye(2)[None] / 2))
     assert SecretStore(tmp_path / "store.json").get("p") == store.get("p")
 
 
