@@ -18,9 +18,9 @@ from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
                  honest_answer, honest_protocol_experiment, run_holder,
                  score_answer)
 from .games import Wqrg, build_cv_pair_games, selective_value
-from .qticket import (QticketSecret, Verifier, VerificationOutcome, VerifierPolicy,
-                      double_acceptance_exact, exact_honest_acceptance, degrade,
-                      issue, multicopy_issue, verify)
+from .qticket import (QticketSecret, VerificationOutcome, degrade,
+                      double_acceptance_exact, exact_honest_acceptance, issue,
+                      multicopy_issue, redeem, verify)
 from .rng import default_seed, root_rng
 from .store import SecretStore, UnknownSerialError
 

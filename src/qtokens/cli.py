@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import socket
 import sys
 import threading
@@ -30,7 +29,7 @@ from .cv import (CvLayout, CvToken, CvVerifier, QUESTION_POLICIES, cv_issue,
                  register, run_holder)
 from .games import (build_cv_pair_games, mixed_question_value,
                     repeated_question_game, selective_value)
-from .qticket import Verifier, degrade, double_acceptance_exact, issue
+from .qticket import degrade, double_acceptance_exact, issue, redeem
 from .rational import as_fraction
 from .rng import default_seed, root_rng
 from .store import SecretStore, UnknownSerialError, read_token, write_token
@@ -41,7 +40,6 @@ EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
 
 SWEEP_HEADER = "f_tol,N,exact_prob,mc_prob,mc_stderr"
-MC_CHUNK = 25_000
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -164,7 +162,7 @@ def cmd_verify(args) -> int:
         print("verify: cannot verify kind 'cv' locally; use cv-demo", file=sys.stderr)
         return EXIT_USAGE
     try:
-        outcome = Verifier(store).redeem(token, rng)
+        outcome = redeem(store, token, rng)
     except UnknownSerialError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PROTOCOL
@@ -215,44 +213,23 @@ def sweep_rows(config: ExperimentConfig) -> list[str]:
 
     The exact column integrates the per-position joint outcome law of the
     strategy (label-averaged); the MC column samples the same experiment.
-    Output order and content are deterministic in (seed, config) and
+    Each cell is one pool job drawing on its own stream, spawned from the
+    seed in cell order, so the rows are deterministic in (seed, config) and
     independent of the worker count.
     """
     dist = mixture_outcome_distribution(PAIR_STRATEGIES[config.strategy])
     cells = sorted({(f, n) for n in config.sizes for f in config.ftol_grid})
     streams = root_rng(config.seed).spawn(len(cells))
-    n_chunks = max(1, math.ceil(config.trials / MC_CHUNK))
 
-    plan = []
-    for i, (f_tol, n) in enumerate(cells):
-        remaining = config.trials
-        for sub in streams[i].spawn(n_chunks):
-            t = min(MC_CHUNK, remaining)
-            remaining -= t
-            if t > 0:
-                plan.append((i, sub, t))
-
-    def run_exact(i: int) -> float:
+    def run_cell(i: int) -> str:
         f_tol, n = cells[i]
-        return double_acceptance_exact(n, f_tol, dist)
-
-    def run_chunk(job) -> tuple[int, int]:
-        i, sub, t = job
-        f_tol, n = cells[i]
-        return i, double_accept_mc(n, f_tol, dist, t, sub)
+        exact = double_acceptance_exact(n, f_tol, dist)
+        p_hat = double_accept_mc(n, f_tol, dist, config.trials, streams[i]) / config.trials
+        stderr = (p_hat * (1.0 - p_hat) / config.trials) ** 0.5
+        return f"{f_tol},{n},{exact!r},{p_hat!r},{stderr!r}"
 
     with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
-        exact = list(pool.map(run_exact, range(len(cells))))
-        hits = [0] * len(cells)
-        for i, h in pool.map(run_chunk, plan):
-            hits[i] += h
-
-    rows = []
-    for i, (f_tol, n) in enumerate(cells):
-        p_hat = hits[i] / config.trials
-        stderr = (p_hat * (1.0 - p_hat) / config.trials) ** 0.5
-        rows.append(f"{f_tol},{n},{exact[i]!r},{p_hat!r},{stderr!r}")
-    return rows
+        return list(pool.map(run_cell, range(len(cells))))
 
 
 def cmd_sweep_double_accept(config: ExperimentConfig) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -55,23 +54,6 @@ def joint_outcome_laws(projectors: np.ndarray, states: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class VerifierPolicy:
-    """Acceptance rule: at least ceil(f_tol * n_qubits) matches."""
-
-    f_tol: Fraction
-    n_qubits: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "f_tol", as_fraction(self.f_tol))
-        if not 0 <= self.f_tol <= 1:
-            raise ValueError(f"f_tol must lie in [0, 1], got {self.f_tol}")
-
-    @property
-    def k_min(self) -> int:
-        return threshold_count(self.f_tol, self.n_qubits)
-
-
-@dataclass(frozen=True)
 class VerificationOutcome:
     accepted: bool
     correct_count: int
@@ -106,25 +88,29 @@ def degrade(token: Token, channel: QubitChannel) -> Token:
     return type(token)(token.serial, channel.apply_to_stack(token.qubits))
 
 
-def verify(secret: QticketSecret, token: Token, policy: VerifierPolicy,
+def verify(secret: QticketSecret, token: Token, f_tol,
            rng: np.random.Generator) -> VerificationOutcome:
     """Measure every position against the recorded label; consume the token.
 
-    Accepts iff the match count reaches policy.k_min; a refusal carries the
-    reason "below-threshold".  Serial mismatch raises
-    :class:`UnknownSerialError`; qubits that are not an (N, 2, 2) stack of
-    density matrices raise ValueError and leave the token unconsumed.
+    Accepts iff at least ceil(f_tol * N) of the secret's N positions match;
+    a refusal carries the reason "below-threshold".  Serial mismatch raises
+    :class:`UnknownSerialError`; an f_tol outside [0, 1], or qubits that are
+    not an (N, 2, 2) stack of density matrices, raise ValueError and leave
+    the token unconsumed.
     """
+    f_tol = as_fraction(f_tol)
+    if not 0 <= f_tol <= 1:
+        raise ValueError(f"f_tol must lie in [0, 1], got {f_tol}")
     if token.serial != secret.serial:
         raise UnknownSerialError(f"unknown-serial: {token.serial}")
     qubits = check_token_stack(token.qubits, paired=False)
-    if len(qubits) != policy.n_qubits or len(secret) != policy.n_qubits:
-        raise ValueError("token/secret length does not match policy")
+    if len(qubits) != len(secret):
+        raise ValueError("token and secret lengths differ")
     token.consume()
     probs = np.einsum("nij,nji->n", PROJECTOR_STACK[secret.labels], qubits).real
     bits = rng.random(len(qubits)) < np.clip(probs, 0.0, 1.0)
     count = int(bits.sum())
-    accepted = count >= policy.k_min
+    accepted = count >= threshold_count(f_tol, len(secret))
     return VerificationOutcome(accepted, count, token.serial,
                                None if accepted else "below-threshold")
 
@@ -237,23 +223,19 @@ def double_acceptance_exact(n_qubits: int, f_tol, pair_dist) -> float:
                                            for p, w in zip(peaks, sums)))
 
 
-class Verifier:
-    """Store-backed verifier enforcing per-serial acceptance budgets."""
-
-    def __init__(self, store: SecretStore):
-        self.store = store
-
-    def redeem(self, token: Token, rng: np.random.Generator) -> VerificationOutcome:
-        rec = self.store.get(token.serial)   # raises UnknownSerialError
-        if "labels" not in rec:
-            raise ValueError(f"serial {token.serial} is not a measured-token record")
-        if self.store.spent(token.serial):
-            token.consume()
-            return VerificationOutcome(False, 0, token.serial, reason="serial-exhausted")
-        secret = QticketSecret(rec["serial"], labels_from_strings(rec["labels"]))
-        policy = VerifierPolicy(Fraction(rec["f_tol"]), len(secret))
-        outcome = verify(secret, token, policy, rng)
-        if outcome.accepted and not self.store.try_accept(token.serial):
-            return VerificationOutcome(False, outcome.correct_count, token.serial,
-                                       reason="serial-exhausted")
-        return outcome
+def redeem(store: SecretStore, token: Token,
+           rng: np.random.Generator) -> VerificationOutcome:
+    """Verify a measured token against its store record, within the serial's
+    acceptance budget: a spent serial is refused "serial-exhausted"."""
+    rec = store.get(token.serial)   # raises UnknownSerialError
+    if "labels" not in rec:
+        raise ValueError(f"serial {token.serial} is not a measured-token record")
+    if store.spent(token.serial):
+        token.consume()
+        return VerificationOutcome(False, 0, token.serial, reason="serial-exhausted")
+    secret = QticketSecret(rec["serial"], labels_from_strings(rec["labels"]))
+    outcome = verify(secret, token, rec["f_tol"], rng)
+    if outcome.accepted and not store.try_accept(token.serial):
+        return VerificationOutcome(False, outcome.correct_count, token.serial,
+                                   reason="serial-exhausted")
+    return outcome

@@ -15,7 +15,8 @@ A paired-token record may also hold the last "question" asked, one of
 "Z"/"X" per block.  Every "f_tol" is written and read as "p/q" with
 0 <= p <= q and q >= 1.  Labels are non-empty and named as in
 ``qtokens.core.LABELS``; n, r and "issued_copies" are >= 1, "pairs" holds
-n * r two-name lists, and no counter is negative.
+n * r two-name lists, each pair one Z and one X eigenstate (in either order),
+and no counter is negative.
 
 The file is one compact JSON line; ``load`` also reads the indented form
 that earlier versions wrote.
@@ -37,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import AXIS_NAMES, LABELS, CvToken, Token, check_token_stack
+from .core import AXIS_NAMES, CV_PAIRS, LABELS, CvToken, Token, check_token_stack
 from .rational import as_fraction
 
 STORE_VERSION = 1
@@ -90,10 +91,12 @@ def _valid_question(rec: dict) -> bool:
 
 
 _LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
+#: The names of the eight pairs a paired token holds (core.CV_PAIRS).
+_PAIR_NAMES = {(LABELS[a], LABELS[b]) for a, b in CV_PAIRS}
 
 
 def _valid_kind(rec: dict) -> bool:
-    # whole-list operations only (set, map, zip): every load reads every record
+    # whole-list operations only (set, map): every load reads every record
     try:
         if _has_fields(rec, _QTICKET_FIELDS):
             labels = rec["labels"]
@@ -104,9 +107,8 @@ def _valid_kind(rec: dict) -> bool:
                 and rec["attempts"] >= 0 and len(pairs) == rec["n"] * rec["r"]
                 and set(map(type, pairs)) == {list}):
             return False
-        first, second = zip(*pairs, strict=True)    # ValueError unless pairs
-        return set(first + second) <= _LABEL_CODES.keys()
-    except (TypeError, ValueError):     # an unhashable name, or not pairs
+        return set(map(tuple, pairs)) <= _PAIR_NAMES
+    except TypeError:       # an unhashable name
         return False
 
 

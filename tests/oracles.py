@@ -644,7 +644,7 @@ def counterfeit(token: Token, strategy,
             CounterfeitHalf(token.serial, pair, 1))
 
 
-def verify_half(secret, half: CounterfeitHalf, policy,
+def verify_half(secret, half: CounterfeitHalf, f_tol,
                 rng: np.random.Generator) -> VerificationOutcome:
     """``qticket.verify`` for a counterfeit half: the same consumed, serial
     and length checks, then the half's side of the shared outcome bits."""
@@ -652,11 +652,12 @@ def verify_half(secret, half: CounterfeitHalf, policy,
         raise TokenConsumedError(f"token {half.serial} already verified")
     if half.serial != secret.serial:
         raise UnknownSerialError(f"unknown-serial: {half.serial}")
-    if half.n_qubits != policy.n_qubits or len(secret) != policy.n_qubits:
-        raise ValueError("token/secret length does not match policy")
+    if half.n_qubits != len(secret):
+        raise ValueError("token and secret lengths differ")
     half.consumed = True
     count = int(half.pair.outcome_bits(half.side, secret.labels, rng).sum())
-    return VerificationOutcome(count >= policy.k_min, count, half.serial)
+    return VerificationOutcome(count >= threshold_count(f_tol, len(secret)), count,
+                               half.serial)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +683,7 @@ class CloneThenAdaptDriver:
     _serial: str = ""
     _n: int = 0
 
-    def begin(self, token, policy, rng) -> None:
+    def begin(self, token, rng) -> None:
         self._serial, self._n = token.serial, len(token.qubits)
         self._halves = list(counterfeit(token, UNIVERSAL_CLONER, rng))
 
@@ -701,7 +702,7 @@ class ResubmitAfterRejectDriver:
     _prep: np.ndarray | None = field(default=None, repr=False)
     _serial: str = ""
 
-    def begin(self, token, policy, rng) -> None:
+    def begin(self, token, rng) -> None:
         if token.consumed:
             raise ValueError("driver needs the fresh physical token")
         token.consumed = True
@@ -724,7 +725,7 @@ class HonestOnceThenNoiseDriver:
     _serial: str = ""
     _n: int = 0
 
-    def begin(self, token, policy, rng) -> None:
+    def begin(self, token, rng) -> None:
         self._token = token
         self._serial, self._n = token.serial, len(token.qubits)
 
@@ -742,19 +743,19 @@ DRIVERS = {
 }
 
 
-def sequential_attack(driver: str, secret, v: int, policy, rng) -> list:
+def sequential_attack(driver: str, secret, v: int, f_tol, rng) -> list:
     """Run one holder against ``v`` sequential verifications of one serial
     and return the full transcript of outcomes."""
     if v < 1:
         raise ValueError("need at least one verification")
     drv = DRIVERS[driver]()
-    drv.begin(token_from_secret(secret), policy, rng)
+    drv.begin(token_from_secret(secret), rng)
     history: list[bool] = []
     transcript = []
     for _ in range(v):
         submission = drv.submission(tuple(history), rng)
         check = verify_half if isinstance(submission, CounterfeitHalf) else verify
-        outcome = check(secret, submission, policy, rng)
+        outcome = check(secret, submission, f_tol, rng)
         transcript.append(outcome)
         history.append(outcome.accepted)
     return transcript

@@ -18,9 +18,8 @@ from qtokens.bounds import learning_bound
 from qtokens.core import LABELS
 from qtokens.cv import (CvLayout, cv_issue, honest_answer, random_question,
                         score_answer)
-from qtokens.qticket import (QticketSecret, VerifierPolicy,
-                             double_acceptance_exact, issue, token_from_secret,
-                             verify)
+from qtokens.qticket import (QticketSecret, double_acceptance_exact, issue,
+                             token_from_secret, verify)
 
 import oracles as O
 
@@ -140,15 +139,14 @@ def test_object_level_double_acceptance_matches_mixture_law(rng):
     # issue fresh labels per trial: per-position outcomes are then iid from
     # the label-averaged law, which double_acceptance_exact integrates exactly
     n, f_tol, trials = 40, Fraction(3, 4), 2500
-    policy = VerifierPolicy(f_tol, n)
     for strat in (UNIVERSAL_CLONER, MEASURE_REPREPARE_Z, INTERMEDIATE_BASIS):
         p = double_acceptance_exact(n, f_tol, mixture_outcome_distribution(strat))
         hits = 0
         for _ in range(trials):
             secret, token = issue(n, rng)
             first, second = O.counterfeit(token, strat)
-            o1 = O.verify_half(secret, first, policy, rng)
-            o2 = O.verify_half(secret, second, policy, rng)
+            o1 = O.verify_half(secret, first, f_tol, rng)
+            o2 = O.verify_half(secret, second, f_tol, rng)
             hits += int(o1.accepted and o2.accepted)
         sigma = math.sqrt(max(p * (1.0 - p) * trials, 1.0))
         assert abs(hits - p * trials) < 4.0 * sigma, (strat.name, hits, p)
@@ -164,9 +162,8 @@ def test_counterfeit_joint_counts_per_label(strategy, label, rng):
                                                 dtype=np.uint8))
     first, second = O.counterfeit(token_from_secret(secret),
                                   PAIR_STRATEGIES[strategy], rng)
-    policy = VerifierPolicy(Fraction(1, 2), n)
-    counts = (O.verify_half(secret, first, policy, rng).correct_count,
-              O.verify_half(secret, second, policy, rng).correct_count)
+    counts = (O.verify_half(secret, first, Fraction(1, 2), rng).correct_count,
+              O.verify_half(secret, second, Fraction(1, 2), rng).correct_count)
     bits = [first.pair.outcome_bits(side, secret.labels, rng) for side in (0, 1)]
     assert counts == (bits[0].sum(), bits[1].sum())
     joint = np.bincount(2 * (1 - bits[0]) + (1 - bits[1]), minlength=4)
@@ -206,18 +203,18 @@ def test_registry_names():
 
 def test_sequential_attack_transcripts(rng):
     secret, _ = issue(50, rng)
-    policy = VerifierPolicy(Fraction(4, 5), 50)
-    transcript = O.sequential_attack("clone-then-adapt", secret, 4, policy, rng)
+    f_tol = Fraction(4, 5)
+    transcript = O.sequential_attack("clone-then-adapt", secret, 4, f_tol, rng)
     assert len(transcript) == 4
     assert all(o.serial == secret.serial for o in transcript)
 
-    transcript = O.sequential_attack("honest-once-then-noise", secret, 3, policy, rng)
+    transcript = O.sequential_attack("honest-once-then-noise", secret, 3, f_tol, rng)
     assert transcript[0].accepted and transcript[0].correct_count == 50
 
-    transcript = O.sequential_attack("resubmit-after-reject", secret, 3, policy, rng)
+    transcript = O.sequential_attack("resubmit-after-reject", secret, 3, f_tol, rng)
     assert len(transcript) == 3
     with pytest.raises(ValueError):
-        O.sequential_attack("clone-then-adapt", secret, 0, policy, rng)
+        O.sequential_attack("clone-then-adapt", secret, 0, f_tol, rng)
 
 
 def test_object_level_matches_batched_rates(rng):
@@ -226,13 +223,12 @@ def test_object_level_matches_batched_rates(rng):
     from qtokens.rational import threshold_count
     n, f_tol, v = 30, Fraction(7, 10), 3
     k_min = threshold_count(f_tol, n)
-    policy = VerifierPolicy(f_tol, n)
     obj_trials, batch_trials = 1200, 50_000
     for name in O.DRIVERS:
         obj_hits = 0
         for _ in range(obj_trials):
             secret, _ = issue(n, rng)
-            tr = O.sequential_attack(name, secret, v, policy, rng)
+            tr = O.sequential_attack(name, secret, v, f_tol, rng)
             obj_hits += int(sum(o.accepted for o in tr) >= 2)
         accepts = RATE_DRIVERS[name](n, k_min, v, batch_trials, rng)
         p = float((accepts.sum(axis=1) >= 2).mean())
@@ -291,13 +287,12 @@ def test_intermediate_attacker_commits_once(rng):
 @pytest.mark.parametrize("consumer", ["verify", "honest-answer", "intermediate-basis"])
 def test_every_consumer_refuses_a_consumed_token(rng, consumer):
     secret, token = issue(8, rng)
-    policy = VerifierPolicy(Fraction(1, 2), 8)
-    verify(secret, token, policy, rng)
+    verify(secret, token, Fraction(1, 2), rng)
     layout = CvLayout(2, 3, Fraction(1, 2))
     _, paired = cv_issue(layout, rng)
     question = random_question(layout, rng)
     honest_answer(paired, question, None, rng)
-    consume = {"verify": lambda: verify(secret, token, policy, rng),
+    consume = {"verify": lambda: verify(secret, token, Fraction(1, 2), rng),
                "honest-answer": lambda: honest_answer(paired, question, None, rng),
                "intermediate-basis": lambda: IntermediateBasisAttacker().prepare(paired, rng),
                }[consumer]

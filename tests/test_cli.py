@@ -16,8 +16,9 @@ from qtokens.bounds import (cv_soundness_bound, relative_entropy,
                             security_bound, soundness_bound)
 from qtokens.cli import ExperimentConfig, sweep_rows
 from qtokens.qticket import double_acceptance_exact
-from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
-from qtokens.rng import default_seed
+from qtokens.attacks import (PAIR_STRATEGIES, double_accept_mc,
+                             mixture_outcome_distribution)
+from qtokens.rng import default_seed, root_rng
 from qtokens.core import CvToken, Token
 from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
@@ -29,13 +30,28 @@ def test_sweep_header_names_columns():
 
 
 def test_sweep_rows_independent_of_worker_count():
-    # trials above MC_CHUNK so the chunk-merge path is what we are freezing
+    # trials above MC_BATCH, so each cell's sampler runs its batch loop
     base = dict(seed=5, trials=60_000, sizes=(24,),
                 ftol_grid=(Fraction(3, 4), Fraction(4, 5)))
     rows1 = sweep_rows(ExperimentConfig(jobs=1, **base))
-    rows4 = sweep_rows(ExperimentConfig(jobs=4, **base))
-    assert rows1 == rows4
+    assert sweep_rows(ExperimentConfig(jobs=2, **base)) == rows1
+    assert sweep_rows(ExperimentConfig(jobs=4, **base)) == rows1
     assert len(rows1) == 2
+
+
+def test_sweep_cell_i_samples_on_the_ith_spawned_stream():
+    # cells in (f_tol, N) order; cell i draws its whole MC column from
+    # root_rng(seed).spawn(len(cells))[i]
+    config = ExperimentConfig(seed=11, trials=3_000, sizes=(30, 12),
+                              ftol_grid=(Fraction(4, 5),),
+                              strategy="measure-reprepare-z", jobs=2)
+    dist = mixture_outcome_distribution(PAIR_STRATEGIES[config.strategy])
+    streams = root_rng(config.seed).spawn(2)
+    rows = sweep_rows(config)
+    assert [row.split(",")[:2] for row in rows] == [["4/5", "12"], ["4/5", "30"]]
+    for row, n, stream in zip(rows, (12, 30), streams):
+        hits = double_accept_mc(n, Fraction(4, 5), dist, config.trials, stream)
+        assert float(row.split(",")[3]) == hits / config.trials
 
 
 def test_sweep_row_columns_match_library():
@@ -294,12 +310,13 @@ def _store_with_question(question):
     _store_with(accepted_count=-1),
     _store_with_pairs(1, 2, [["Z+", "X+"], ["Q+", "X+"]]),
     _store_with_pairs(1, 2, [["Z+", "X+"]]),
+    _store_with_pairs(1, 2, [["Z+", "X+"], ["Z+", "Z-"]]),
     _store_with_pairs(-1, -2, [["Z+", "X+"], ["X-", "Z-"]]),
 ], ids=["no-serials", "top-level-list", "record-without-serial", "record-not-object",
         "f_tol-zero-denominator", "f_tol-above-one", "f_tol-decimal",
         "question-int", "question-unknown-axis", "question-too-long",
         "label-unknown", "labels-empty", "copies-zero", "count-negative",
-        "pair-unknown-label", "pairs-too-few", "n-and-r-negative"])
+        "pair-unknown-label", "pairs-too-few", "pair-both-z", "n-and-r-negative"])
 def test_malformed_store_file_is_usage_error(tmp_path, capsys, command, corrupt):
     store, token, _ = _issue_qticket(tmp_path, capsys, N=16)
     bad = Path(store)

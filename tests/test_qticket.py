@@ -10,16 +10,13 @@ from qtokens.attacks import PAIR_STRATEGIES, mixture_outcome_distribution
 from qtokens.bounds import soundness_bound
 from qtokens.channels import depolarizing, depolarizing_for_fidelity
 from qtokens.core import LABELS, PROJECTOR_STACK, Token, TokenConsumedError
-from qtokens.qticket import (QticketSecret, Verifier, VerificationOutcome,
-                             VerifierPolicy, degrade, double_acceptance_exact,
-                             exact_honest_acceptance, issue, multicopy_issue,
-                             token_from_secret, verify)
+from qtokens.qticket import (QticketSecret, VerificationOutcome, degrade,
+                             double_acceptance_exact, exact_honest_acceptance,
+                             issue, multicopy_issue, redeem, token_from_secret,
+                             verify)
 from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
 import oracles as O
-
-
-POLICY = lambda f, n: VerifierPolicy(Fraction(f) if isinstance(f, str) else f, n)
 
 
 # -- issuance ---------------------------------------------------------------
@@ -85,7 +82,7 @@ def test_token_rejects_what_is_not_a_qubit_stack(qubits, tmp_path, rng):
     secret = QticketSecret("s", np.zeros(8, dtype=np.uint8))
     token = Token("s", qubits)
     with pytest.raises(ValueError):
-        verify(secret, token, POLICY(Fraction(1, 2), 8), rng)
+        verify(secret, token, Fraction(1, 2), rng)
     assert not token.consumed
     path = tmp_path / "token.json"
     write_token(path, token)
@@ -97,7 +94,7 @@ def test_token_rejects_what_is_not_a_qubit_stack(qubits, tmp_path, rng):
 
 def test_verify_honest_noiseless_is_certain(rng):
     secret, token = issue(120, rng)
-    out = verify(secret, token, POLICY(Fraction(9, 10), 120), rng)
+    out = verify(secret, token, Fraction(9, 10), rng)
     assert out.accepted and out.correct_count == 120
     assert out.serial == secret.serial and out.reason is None
 
@@ -105,30 +102,40 @@ def test_verify_honest_noiseless_is_certain(rng):
 def test_verify_names_a_refusal_below_the_threshold(rng):
     secret, _ = issue(64, rng)
     mixed = Token(secret.serial, np.broadcast_to(np.eye(2) / 2, (64, 2, 2)))
-    out = verify(secret, mixed, POLICY(Fraction(5, 6), 64), rng)
+    out = verify(secret, mixed, Fraction(5, 6), rng)
     assert not out.accepted and out.correct_count < 54
     assert out.reason == "below-threshold"
 
 
 def test_verify_consumes_token(rng):
     secret, token = issue(10, rng)
-    verify(secret, token, POLICY(Fraction(1, 2), 10), rng)
+    verify(secret, token, Fraction(1, 2), rng)
     assert token.consumed
     with pytest.raises(TokenConsumedError):
-        verify(secret, token, POLICY(Fraction(1, 2), 10), rng)
+        verify(secret, token, Fraction(1, 2), rng)
 
 
 def test_verify_serial_mismatch(rng):
     secret, _ = issue(10, rng)
     other_secret, other_token = issue(10, rng)
     with pytest.raises(UnknownSerialError, match="unknown-serial"):
-        verify(secret, other_token, POLICY(Fraction(1, 2), 10), rng)
+        verify(secret, other_token, Fraction(1, 2), rng)
 
 
 def test_verify_length_mismatch(rng):
+    secret, _ = issue(10, rng)
+    longer = Token(secret.serial, PROJECTOR_STACK[np.append(secret.labels, 0)])
+    with pytest.raises(ValueError, match="lengths differ"):
+        verify(secret, longer, Fraction(1, 2), rng)
+    assert not longer.consumed
+
+
+@pytest.mark.parametrize("f_tol", [Fraction(-1, 10), Fraction(11, 10), "3/2", 1.5])
+def test_verify_refuses_threshold_outside_unit_interval(rng, f_tol):
     secret, token = issue(10, rng)
-    with pytest.raises(ValueError):
-        verify(secret, token, POLICY(Fraction(1, 2), 11), rng)
+    with pytest.raises(ValueError, match=r"f_tol must lie in \[0, 1\]"):
+        verify(secret, token, f_tol, rng)
+    assert not token.consumed
 
 
 def test_fully_depolarized_match_counts_are_fair_coins(rng):
@@ -138,7 +145,7 @@ def test_fully_depolarized_match_counts_are_fair_coins(rng):
     chan = depolarizing(1.0)
     for _ in range(trials):
         noisy = degrade(token_from_secret(secret), chan)
-        counts.append(verify(secret, noisy, POLICY(Fraction(3, 4), 100), rng).correct_count)
+        counts.append(verify(secret, noisy, Fraction(3, 4), rng).correct_count)
     mean = np.mean(counts)
     sigma = 5.0 / math.sqrt(trials)
     assert abs(mean - 50.0) < 4.0 * sigma
@@ -337,20 +344,18 @@ def test_verifier_redeem_budget(rng):
     secret, tokens = multicopy_issue(30, 2, rng)
     store.add_qticket(secret.serial, secret.labels, f_tol=Fraction(4, 5),
                       issued_copies=2)
-    verifier = Verifier(store)
-    out1 = verifier.redeem(tokens[0], rng)
-    out2 = verifier.redeem(tokens[1], rng)
+    out1 = redeem(store, tokens[0], rng)
+    out2 = redeem(store, tokens[1], rng)
     assert out1.accepted and out2.accepted
     extra = token_from_secret(secret)
-    out3 = verifier.redeem(extra, rng)
+    out3 = redeem(store, extra, rng)
     assert not out3.accepted and out3.reason == "serial-exhausted"
 
 
 def test_verifier_redeem_unknown_serial(rng):
-    verifier = Verifier(SecretStore())
     secret, token = issue(5, rng)
     with pytest.raises(UnknownSerialError):
-        verifier.redeem(token, rng)
+        redeem(SecretStore(), token, rng)
 
 
 # -- correlated pair sampling -------------------------------------------------
@@ -392,9 +397,8 @@ def test_correlated_pair_token_verification(rng):
     pair = O.CorrelatedPair(states)
     t0 = O.CounterfeitHalf(secret.serial, pair, 0)
     t1 = O.CounterfeitHalf(secret.serial, pair, 1)
-    policy = POLICY(Fraction(3, 4), 60)
-    o0 = O.verify_half(secret, t0, policy, rng)
-    o1 = O.verify_half(secret, t1, policy, rng)
+    o0 = O.verify_half(secret, t0, Fraction(3, 4), rng)
+    o1 = O.verify_half(secret, t1, Fraction(3, 4), rng)
     assert o0.correct_count + o1.correct_count <= 2 * 60
     assert isinstance(o0, VerificationOutcome)
 
@@ -404,4 +408,4 @@ def test_correlated_pair_validates_shape(rng):
         O.CorrelatedPair(np.zeros((4, 2, 2)))
     with pytest.raises(ValueError):
         verify(QticketSecret("s", np.zeros(4, dtype=np.uint8)), Token("s", None),
-               POLICY(Fraction(1, 2), 4), rng)
+               Fraction(1, 2), rng)

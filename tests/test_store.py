@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtokens.core import PROJECTOR_STACK, CvToken, Token
+from qtokens.core import CV_PAIRS, PROJECTOR_STACK, CvToken, Token
 from qtokens.store import (SecretStore, UnknownSerialError, labels_from_strings,
                            read_token, write_token)
 
@@ -73,7 +73,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "store.json"
     store = SecretStore(path)
     store.add_qticket("s1", LABELS6, Fraction(9, 10), issued_copies=2)
-    store.add_cv("s2", 2, 3, Fraction(3, 4), np.zeros((2, 3, 2), dtype=np.uint8))
+    store.add_cv("s2", 2, 3, Fraction(3, 4), CV_PAIRS[:6].reshape(2, 3, 2))
     store.try_accept("s1")
     store.stash_question("s2", ["Z", "X"])
     store.save()
@@ -119,6 +119,8 @@ PAIR = ["Z+", "X+"]
     {"pairs": [PAIR, PAIR, PAIR + ["Z-"]]},
     {"pairs": ["Z+", "X+", "Z-"]},
     {"pairs": [PAIR, PAIR, [["Z+"], "X+"]]},
+    {"pairs": [PAIR, PAIR, ["Z+", "Z-"]]},
+    {"pairs": [PAIR, PAIR, ["Y+", "X+"]]},
     {"n": 0, "question": None},
     {"n": -1, "r": -3, "question": None},
     {"issued_copies": 0},
@@ -130,13 +132,14 @@ PAIR = ["Z+", "X+"]
         "question-int", "question-unknown-axis", "question-too-long",
         "label-unknown", "label-nested", "labels-empty", "pair-unknown-label",
         "pairs-too-few", "pair-of-three", "pairs-of-strings", "pair-nested",
+        "pair-both-z", "pair-with-y",
         "n-zero", "n-and-r-negative", "copies-zero", "count-negative",
         "attempts-negative"])
 def test_load_rejects_records_off_the_layout(tmp_path, changes):
     path = tmp_path / "store.json"
     store = SecretStore(path)
     store.add_qticket("s1", LABELS6, Fraction(9, 10))
-    store.add_cv("s2", 1, 3, Fraction(3, 4), np.zeros((1, 3, 2), dtype=np.uint8))
+    store.add_cv("s2", 1, 3, Fraction(3, 4), CV_PAIRS[:3].reshape(1, 3, 2))
     store.stash_question("s2", ["X"])
     store.save()
     data = json.loads(path.read_text())
