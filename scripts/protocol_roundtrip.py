@@ -21,7 +21,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    workdir = Path(tempfile.mkdtemp(prefix="qtl-demo-"))
+    with tempfile.TemporaryDirectory(prefix="qtl-demo-") as workdir:
+        return _round_trip(args, Path(workdir))
+
+
+def _round_trip(args, workdir: Path) -> int:
     store = str(workdir / "secrets.json")
     token = str(workdir / "token.json")
     py = [sys.executable, "-m", "qtokens"]

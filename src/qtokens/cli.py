@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import socket
 import sys
 import threading
@@ -31,7 +32,7 @@ from .games import (build_cv_pair_games, mixed_question_value,
                     repeated_question_game, selective_value)
 from .qticket import degrade, double_acceptance_exact, issue, redeem
 from .rational import as_fraction
-from .rng import default_seed, root_rng
+from .rng import SEED_ENV_VAR, default_seed, root_rng
 from .store import SecretStore, UnknownSerialError, read_token, write_token
 
 EXIT_OK = 0
@@ -129,7 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _seeded(args) -> np.random.Generator:
-    return root_rng(default_seed() if args.seed is None else args.seed)
+    """Root stream of a command that makes secrets or questions: --seed, else
+    QTL_SEED, else fresh OS entropy, so an unseeded run is unpredictable."""
+    if args.seed is None and SEED_ENV_VAR not in os.environ:
+        return root_rng(np.random.SeedSequence().entropy)
+    return root_rng(args.seed)
 
 
 # -- issue / verify -------------------------------------------------------

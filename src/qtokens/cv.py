@@ -200,6 +200,11 @@ def _secret_from_record(rec: dict) -> tuple[CvLayout, CvSecret]:
 
 QUESTION_POLICIES = ("random", "fixed", "complementary")
 
+#: Receive caps of the verifier: a hello carries only a serial, and an answer
+#: one byte per qubit of the layout plus the rest of its line.
+HELLO_LINE_BYTES = 4 * 1024
+ANSWER_SLACK_BYTES = 1024
+
 
 class CvVerifier:
     """One verification session per call: hello -> challenge -> answer ->
@@ -230,7 +235,7 @@ class CvVerifier:
         """Run a single session; returns the final message sent (or None on
         immediate EOF)."""
         try:
-            msg = chan.recv()
+            msg = chan.recv(HELLO_LINE_BYTES)
         except wire.ProtocolError as exc:
             return self._abort(chan, "protocol-error", str(exc))
         if msg is None:
@@ -253,7 +258,7 @@ class CvVerifier:
         chan.send(wire.challenge_message(question.question_id, question.axes))
 
         try:
-            reply = chan.recv()
+            reply = chan.recv(layout.n_qubits + ANSWER_SLACK_BYTES)
         except wire.ProtocolError as exc:
             return self._abort(chan, "protocol-error", str(exc))
         if reply is None or reply["type"] != "answer":
@@ -261,7 +266,8 @@ class CvVerifier:
         if reply.get("question_id") != question.question_id:
             return self._finish(chan, False, "question-mismatch")
         try:
-            outcomes = wire.decode_outcomes(reply["outcomes"])
+            outcomes = wire.decode_outcomes(reply["outcomes"],
+                                            (layout.n_blocks, layout.block_size))
             card = score_answer(secret, question, outcomes, layout)
         except (KeyError, TypeError, ValueError, wire.ProtocolError) as exc:
             return self._abort(chan, "protocol-error", f"malformed answer: {exc}")

@@ -16,7 +16,8 @@ _DEFAULT_SEED = 0
 
 
 def default_seed() -> int:
-    """Seed used when none is given; the QTL_SEED env var overrides it."""
+    """Seed of the experiment commands when none is given; the QTL_SEED env
+    var overrides it.  Commands that make secrets draw OS entropy instead."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return _DEFAULT_SEED

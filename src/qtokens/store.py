@@ -93,6 +93,10 @@ def _valid_question(rec: dict) -> bool:
 _LABEL_CODES = {name: i for i, name in enumerate(LABELS)}
 #: The names of the eight pairs a paired token holds (core.CV_PAIRS).
 _PAIR_NAMES = {(LABELS[a], LABELS[b]) for a, b in CV_PAIRS}
+#: _IS_PAIR[a, b] is True when label indices (a, b) form one of core.CV_PAIRS.
+_IS_PAIR = np.zeros((len(LABELS), len(LABELS)), dtype=bool)
+_IS_PAIR[tuple(CV_PAIRS.T)] = True
+_LABEL_NAMES = np.asarray(LABELS, dtype=object)
 
 
 def _valid_kind(rec: dict) -> bool:
@@ -184,10 +188,16 @@ class SecretStore:
 
     def add_cv(self, serial: str, n: int, r: int, f_tol: Fraction,
                pairs: np.ndarray) -> None:
-        """``pairs``: (n, r, 2) array of label indices."""
-        flat = [[LABELS[a], LABELS[b]] for a, b in np.asarray(pairs).reshape(-1, 2)]
+        """``pairs``: (n, r, 2) array of label indices, each pair one of
+        ``core.CV_PAIRS``, the only pairs ``load`` reads back; an index past
+        the labels raises IndexError."""
+        pairs = np.asarray(pairs)
+        if (min(n, r) < 1 or pairs.shape != (n, r, 2)
+                or not _IS_PAIR[pairs[..., 0], pairs[..., 1]].all()):
+            raise ValueError(f"pairs must be ({n}, {r}, 2) label indices of core.CV_PAIRS")
         self._add({"serial": serial, "n": int(n), "r": int(r),
-                   "f_tol": _threshold_str(f_tol), "pairs": flat, "attempts": 0,
+                   "f_tol": _threshold_str(f_tol),
+                   "pairs": _LABEL_NAMES[pairs.reshape(-1, 2)].tolist(), "attempts": 0,
                    "accepted_count": 0})
 
     def get(self, serial: str) -> dict[str, Any]:

@@ -2,7 +2,12 @@
 
 Every message is one JSON object per line, serialized canonically (sorted
 keys, compact separators) so transcripts are byte-stable.  Messages carry a
-``type`` tag and protocol version ``v``.
+``type`` tag and protocol version ``v``.  Since version 2 an answer's bits
+travel as one ASCII string of ``0``/``1`` in (block, pair, member) order,
+``{"outcomes":"0110...","question_id":"...","type":"answer","v":2}``.  The
+verifier knows the layout it challenged, so the string's length checks the
+shape and one array operation checks the bits; version 1's nested grid of
+one-character strings took five times the bytes and a walk over every cell.
 """
 from __future__ import annotations
 
@@ -12,17 +17,13 @@ from typing import Any
 
 import numpy as np
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 MESSAGE_TYPES = ("hello", "challenge", "answer", "verdict", "error")
 
-ERROR_CODES = (
-    "unknown-serial",
-    "already-redeemed",
-    "attempt-budget-exceeded",
-    "protocol-error",
-)
+ERROR_CODES = ("unknown-serial", "already-redeemed", "attempt-budget-exceeded",
+               "protocol-error")
 
 
 class ProtocolError(RuntimeError):
@@ -75,18 +76,17 @@ class LineChannel:
     def send(self, message: dict[str, Any]) -> None:
         self._sock.sendall(serialize(message))
 
-    def recv(self) -> dict[str, Any] | None:
-        """Next message, or None on clean EOF.
-
-        Only the newest chunk is searched for the newline and the pending
-        chunks are joined once, so a line costs time linear in its length.
-        """
+    def recv(self, limit: int = MAX_LINE_BYTES) -> dict[str, Any] | None:
+        """Next message, or None on clean EOF.  A line over ``limit`` bytes
+        is refused after at most one more chunk.  Only the newest chunk is
+        searched for the newline and the pending chunks are joined once, so a
+        line costs time linear in its length."""
         chunk, parts, size = self._buffer, [], 0
         cut = chunk.find(b"\n")
         while cut < 0:
             parts.append(chunk)
             size += len(chunk)
-            if size > MAX_LINE_BYTES:
+            if size > limit:
                 self._buffer = b"".join(parts)
                 raise ProtocolError("message exceeds line limit")
             chunk = self._sock.recv(65536)
@@ -129,26 +129,24 @@ def challenge_message(question_id: str, axes) -> dict[str, Any]:
 
 
 def answer_message(question_id: str, outcomes) -> dict[str, Any]:
-    # outcome bits travel as "0"/"1" strings
     bits = np.asarray(outcomes)
     ones = bits == 1
     if not (ones | (bits == 0)).all():
         raise ValueError("outcome bits must be 0 or 1")
-    return _base("answer") | {"question_id": question_id,
-                              "outcomes": np.where(ones, "1", "0").tolist()}
+    text = (ones.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    return _base("answer") | {"question_id": question_id, "outcomes": text}
 
 
-def decode_outcomes(grid) -> np.ndarray:
-    """Inverse of the answer_message bit encoding: the validated uint8 bit array."""
-    cells = np.array(grid, dtype=object)
-    if cells.ndim != 3 or cells.shape[2] != 2:
-        raise ProtocolError(f"malformed outcomes grid: not (blocks, positions, 2): {cells.shape}")
-    ones = cells == "1"
-    bad = ~(ones | (cells == "0"))
-    if bad.any():
-        raise ProtocolError("malformed outcomes grid: outcome bit must be '0' or '1', "
-                            f"got {cells[bad][0]!r}")
-    return ones.view(np.uint8)
+def decode_outcomes(text, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of the answer_message bit encoding: the validated (n, r, 2)
+    uint8 bits for a layout of ``shape`` = (n blocks, r pairs)."""
+    n, r = shape
+    if not (isinstance(text, str) and text.isascii() and len(text) == n * r * 2):
+        raise ProtocolError(f"malformed outcomes: not a string of {n * r * 2} ASCII bits")
+    bits = np.frombuffer(text.encode("ascii"), np.uint8) - ord("0")
+    if (bits > 1).any():
+        raise ProtocolError("malformed outcomes: outcome bit must be '0' or '1'")
+    return bits.reshape(n, r, 2)
 
 
 def verdict_message(accepted: bool, reason: str | None = None) -> dict[str, Any]:

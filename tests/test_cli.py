@@ -4,6 +4,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,10 @@ from qtokens.qticket import double_acceptance_exact
 from qtokens.attacks import (PAIR_STRATEGIES, double_accept_mc,
                              mixture_outcome_distribution)
 from qtokens.rng import default_seed, root_rng
+from qtokens import wire
 from qtokens.core import CvToken, Token
+from qtokens.cv import (ChallengeQuestion, CvLayout, CvVerifier, cv_issue,
+                        honest_answer, register)
 from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
 
@@ -132,6 +136,28 @@ def _issue_qticket(tmp_path, capsys, copies=1, N=48, seed=3):
     assert rc == 0
     serial = capsys.readouterr().out.strip()
     return store, token, serial
+
+
+@pytest.mark.parametrize("kind", ["qticket", "cv"])
+def test_unseeded_issues_draw_fresh_secrets(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.delenv("QTL_SEED", raising=False)
+    store = str(tmp_path / "secrets.json")
+    argv = ["issue", "--kind", kind, "--N", "16", "--n", "2", "--r", "4",
+            "--ftol", "3/4", "--store", store]
+    serials = []
+    for i in range(2):
+        assert cli.main(argv + ["--out", str(tmp_path / f"t{i}.json")]) == cli.EXIT_OK
+        serials.append(capsys.readouterr().out.strip())
+    assert serials[0] != serials[1]
+    for serial in serials:
+        SecretStore(store).get(serial)
+    # QTL_SEED still makes an unseeded issue reproducible
+    monkeypatch.setenv("QTL_SEED", "5")
+    for i in range(2):
+        assert cli.main(argv[:-1] + [str(tmp_path / f"s{i}.json"),
+                                     "--out", str(tmp_path / f"u{i}.json")]) == cli.EXIT_OK
+    first, second = capsys.readouterr().out.split()
+    assert first == second
 
 
 def test_issue_prints_hex_serial(tmp_path, capsys):
@@ -607,6 +633,43 @@ def _start_listener(store: str, seed: int) -> tuple[subprocess.Popen, int]:
     ready = proc.stdout.readline().split()
     assert ready[:1] == ["listening"], ready
     return proc, int(ready[1].rpartition(":")[2])
+
+
+def test_unseeded_verifiers_refuse_a_replayed_answer(tmp_path, monkeypatch):
+    # one token measured once, for the first verifier; its answer line is then
+    # replayed to a second verifier on its own copy of the store
+    monkeypatch.delenv("QTL_SEED", raising=False)
+    layout = CvLayout(10, 100, Fraction(9, 10))
+    secret, token = cv_issue(layout, root_rng(5))
+    path = str(tmp_path / "secrets.json")
+    issued = SecretStore(path)
+    register(issued, layout, secret)
+    issued.save()
+    args = cli.build_parser().parse_args(["cv-demo", "--listen", "127.0.0.1:0",
+                                          "--store", path])
+    line, replies = None, []
+    for _ in range(2):
+        # built as cv-demo --listen builds its verifier without --seed
+        verifier = CvVerifier(SecretStore(args.store), cli._seeded(args),
+                              question_policy=args.policy)
+        vchan, hchan = wire.LineChannel.pair()
+        thread = threading.Thread(target=verifier.serve_one, args=(vchan,), daemon=True)
+        thread.start()
+        with vchan, hchan:
+            hchan.send(wire.hello_message(secret.serial))
+            challenge = hchan.recv()
+            if line is None:
+                question = ChallengeQuestion(challenge["question_id"],
+                                             tuple(challenge["axes"]))
+                sheet = honest_answer(token, question, None, root_rng(6))
+                line = wire.serialize(wire.answer_message(sheet.question_id,
+                                                          sheet.outcomes))
+            hchan._sock.sendall(line)
+            replies.append(hchan.recv())
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert replies[0] == wire.verdict_message(True)
+    assert replies[1] != wire.verdict_message(True)
 
 
 def test_demo_round_trip_over_tcp(tmp_path, capsys):

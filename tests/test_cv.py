@@ -2,6 +2,7 @@
 import contextlib
 import json
 import math
+import socket
 import threading
 from fractions import Fraction
 
@@ -347,12 +348,96 @@ def test_wire_ragged_answer_is_protocol_error(rng):
         hchan.send(wire.hello_message(secret.serial))
         challenge = hchan.recv()
         ragged = wire.answer_message(challenge["question_id"], _perfect_sheet(secret))
-        ragged["outcomes"][-1].pop()
+        ragged["outcomes"] = ragged["outcomes"][:-1]    # one bit short of the layout
         hchan.send(ragged)
         msg = hchan.recv()
     assert msg["type"] == "error" and msg["code"] == "protocol-error"
-    assert msg["detail"].startswith("malformed answer: malformed outcomes grid")
+    assert msg["detail"] == "malformed answer: malformed outcomes: not a string of 32 ASCII bits"
     assert result[0] == msg
+    assert store.get(secret.serial)["accepted_count"] == 0
+
+
+def _grid(n, r):
+    return [[["0", "1"] for _ in range(r)] for _ in range(n)]
+
+
+def _bad_bit_grid(n, r):
+    grid = _grid(n, r)
+    grid[n // 2][r // 2][1] = "2"
+    return grid
+
+
+def _answer_line(qid, outcomes) -> bytes:
+    # answer_message only encodes valid bits, so swap in the bad outcomes
+    return wire.serialize(wire.answer_message(qid, []) | {"outcomes": outcomes})
+
+
+@pytest.mark.parametrize("line", [
+    # the three malformed answers of the cv_sessions benchmark workload
+    lambda qid, n, r: _answer_line(qid, _bad_bit_grid(n, r)),
+    lambda qid, n, r: _answer_line(qid, _grid(n, r)[:-1]),
+    lambda qid, n, r: b'{"type": "answer", "outcomes": [\n',
+    # an honest version-1 answer line
+    lambda qid, n, r: (b'{"outcomes":' + json.dumps(_grid(n, r)).encode()
+                       + b',"question_id":"' + qid.encode() + b'","type":"answer","v":1}\n'),
+], ids=["bad-bit", "bad-shape", "not-json", "version-1-grid"])
+def test_benchmark_malformed_answers_are_protocol_errors(rng, line):
+    layout, secret, token, store, verifier = _fresh_setup(rng, n=10, r=100,
+                                                          f_tol=Fraction(9, 10))
+    with _spawned_verifier(verifier.serve_one) as (hchan, result):
+        hchan.send(wire.hello_message(secret.serial))
+        challenge = hchan.recv()
+        hchan._sock.sendall(line(challenge["question_id"], 10, 100))
+        msg = hchan.recv()
+    assert msg["type"] == "error" and msg["code"] == "protocol-error"
+    assert result == [msg]
+    assert store.get(secret.serial)["accepted_count"] == 0
+
+
+class _CountingSocket:
+    """A socket whose recv counts the bytes it hands out."""
+
+    def __init__(self, sock):
+        self.sock, self.received = sock, 0
+
+    def recv(self, bufsize: int) -> bytes:
+        data = self.sock.recv(bufsize)
+        self.received += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_oversized_answer_is_refused_within_its_cap(rng):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    cap = layout.n_qubits + 1024
+    a, b = socket.socketpair()
+    counted = _CountingSocket(a)
+    result: list = []
+
+    def serve():
+        with wire.LineChannel(counted) as vchan:
+            result.append(verifier.serve_one(vchan))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with wire.LineChannel(b) as hchan:
+        hchan.send(wire.hello_message(secret.serial))
+        challenge = hchan.recv()
+        hello_bytes = counted.received
+        answer = wire.answer_message(challenge["question_id"], _perfect_sheet(secret))
+        answer["outcomes"] *= 40_000      # 1.28 MB of valid bits
+        try:
+            hchan.send(answer)
+        except OSError:                   # the verifier stopped reading and hung up
+            pass
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        msg = hchan.recv()
+    assert msg == result[0]
+    assert msg == wire.error_message("protocol-error", "message exceeds line limit")
+    assert counted.received - hello_bytes <= cap + 65536
     assert store.get(secret.serial)["accepted_count"] == 0
 
 

@@ -1,4 +1,5 @@
 """Smoke tests: the scripts under scripts/ run against the public API."""
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +49,17 @@ def test_run_sweep_writes_one_csv_per_strategy(tmp_path):
         for points in curves.values():
             exact = [p for _, p in sorted(points)]
             assert all(b <= a for a, b in zip(exact, exact[1:])), (path.name, exact)
+
+
+def test_protocol_roundtrip_refuses_the_second_redemption():
+    # issuer-holder, verifier and holder run as separate OS processes over TCP
+    proc = _run_script("protocol_roundtrip.py", "--n", "2", "--r", "8")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "attempt 1: holder exit 0, verifier exit 0" in lines
+    assert "attempt 2: holder exit 3, verifier exit 3" in lines
+    serial = next(l for l in lines if l.startswith("issued serial ")).split()[-1]
+    replies = [json.loads(l[3:]) for l in lines if l.startswith("<< ")]
+    assert replies == [
+        {"type": "verdict", "v": 2, "accepted": True, "reason": None},
+        {"type": "error", "v": 2, "code": "already-redeemed", "detail": serial}]

@@ -39,14 +39,32 @@ def test_cv_record_schema():
     assert rec["pairs"] == [["Z+", "X+"], ["X-", "Z-"]]
 
 
+@pytest.mark.parametrize("n, r, pairs, error", [
+    (1, 3, np.zeros((1, 3, 2), dtype=np.uint8), ValueError),    # [Z+, Z+]
+    (1, 2, np.array([[[4, 2], [0, 2]]], dtype=np.uint8), ValueError),  # [Y+, X+]
+    (2, 2, CV_PAIRS[:2].reshape(1, 2, 2), ValueError),          # fewer pairs than n * r
+    (0, 2, CV_PAIRS[:0].reshape(0, 2, 2), ValueError),          # no blocks
+    (1, 3, np.zeros((1, 3, 2)), IndexError),                    # float indices
+    (1, 2, np.array([[[0, 2], [6, 1]]]), IndexError),           # an index past Y-
+], ids=["both-z", "y-member", "shape-off-layout", "no-blocks", "float-zeros", "index-6"])
+def test_add_cv_refuses_what_load_would_refuse(tmp_path, n, r, pairs, error):
+    store = SecretStore(tmp_path / "store.json")
+    with pytest.raises(error):
+        store.add_cv("x", n, r, Fraction(3, 4), pairs)
+    with pytest.raises(UnknownSerialError):
+        store.get("x")
+    store.add_cv("x", 1, 3, Fraction(3, 4), CV_PAIRS[:3].reshape(1, 3, 2))
+    store.save()
+    assert SecretStore(store.path).get("x") == store.get("x")
+
+
 def test_duplicate_serial_rejected():
     store = SecretStore()
     store.add_qticket("dup", LABELS6, Fraction(1, 2))
     with pytest.raises(ValueError):
         store.add_qticket("dup", LABELS6, Fraction(1, 2))
     with pytest.raises(ValueError):
-        store.add_cv("dup", 1, 3, Fraction(1, 2),
-                     np.zeros((1, 3, 2), dtype=np.uint8))
+        store.add_cv("dup", 1, 3, Fraction(1, 2), CV_PAIRS[:3].reshape(1, 3, 2))
 
 
 def test_add_refuses_thresholds_outside_unit_interval():
@@ -55,11 +73,11 @@ def test_add_refuses_thresholds_outside_unit_interval():
         with pytest.raises(ValueError, match=r"f_tol must lie in \[0, 1\]"):
             store.add_qticket("m", LABELS6, f_tol)
         with pytest.raises(ValueError, match=r"f_tol must lie in \[0, 1\]"):
-            store.add_cv("p", 1, 3, f_tol, np.zeros((1, 3, 2), dtype=np.uint8))
+            store.add_cv("p", 1, 3, f_tol, CV_PAIRS[:3].reshape(1, 3, 2))
     with pytest.raises(UnknownSerialError):
         store.get("m")
     store.add_qticket("zero", LABELS6, Fraction(0))
-    store.add_cv("one", 1, 3, 1, np.zeros((1, 3, 2), dtype=np.uint8))
+    store.add_cv("one", 1, 3, 1, CV_PAIRS[:3].reshape(1, 3, 2))
     assert store.get("zero")["f_tol"] == "0/1" and store.get("one")["f_tol"] == "1/1"
 
 
@@ -203,7 +221,7 @@ def test_try_accept_is_race_safe():
 
 def test_begin_attempt_is_race_safe():
     store = SecretStore()
-    store.add_cv("s", 1, 2, Fraction(1, 2), np.zeros((1, 2, 2), dtype=np.uint8))
+    store.add_cv("s", 1, 2, Fraction(1, 2), CV_PAIRS[:2].reshape(1, 2, 2))
     admitted = []
     barrier = threading.Barrier(8)
 
@@ -229,7 +247,7 @@ def test_begin_attempt_is_race_safe():
 
 def test_record_attempt_and_stash():
     store = SecretStore()
-    store.add_cv("s", 1, 2, Fraction(1, 2), np.zeros((1, 2, 2), dtype=np.uint8))
+    store.add_cv("s", 1, 2, Fraction(1, 2), CV_PAIRS[:2].reshape(1, 2, 2))
     assert store.stashed_question("s") is None
     assert store.begin_attempt("s", max_attempts=2) is None
     assert store.begin_attempt("s", max_attempts=2) is None
