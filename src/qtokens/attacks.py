@@ -143,22 +143,22 @@ def mixture_outcome_distribution(strategy: PairCloneStrategy) -> PairOutcomeDist
 MC_BATCH = 50_000
 
 
-def double_accept_mc(n_qubits: int, f_tol, dist: PairOutcomeDist, trials: int,
-                     rng: np.random.Generator) -> int:
-    """Count trials where both cloned halves reach the acceptance threshold,
-    sampling per-position outcomes iid from ``dist``."""
-    k_min = threshold_count(f_tol, n_qubits)
+def double_accept_mc(n_qubits: int, f_tols, dist: PairOutcomeDist, trials: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Hits per threshold of ``f_tols``, in order: trials where both cloned
+    halves pass, outcomes iid from ``dist``.  Both pass k exactly when
+    c11 + min(c10, c01) >= k, so one histogram serves every threshold (common
+    random numbers), and each count stays unbiased for its own threshold."""
     pvals = np.asarray(dist, dtype=float)
-    hits = 0
-    done = 0
-    while done < trials:
-        b = min(MC_BATCH, trials - done)
-        counts = rng.multinomial(n_qubits, pvals, size=b)
-        first = counts[:, 0] + counts[:, 1]
-        second = counts[:, 0] + counts[:, 2]
-        hits += int(((first >= k_min) & (second >= k_min)).sum())
-        done += b
-    return hits
+    hist = np.zeros(n_qubits + 2, dtype=np.int64)
+    for done in range(0, trials, MC_BATCH):
+        counts = rng.multinomial(n_qubits, pvals, size=min(MC_BATCH, trials - done))
+        both = counts[:, 0] + np.minimum(counts[:, 1], counts[:, 2])
+        hist += np.bincount(both, minlength=n_qubits + 2)
+    # survival[k] = trials passing k, for k in 0..N + 1 (none pass N + 1)
+    survival = np.cumsum(hist[::-1])[::-1]
+    k_min = [threshold_count(f, n_qubits) for f in f_tols]
+    return survival[np.clip(k_min, 0, n_qubits + 1).astype(np.int64)]
 
 
 # ---------------------------------------------------------------------------

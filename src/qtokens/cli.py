@@ -218,23 +218,23 @@ def sweep_rows(config: ExperimentConfig) -> list[str]:
 
     The exact column integrates the per-position joint outcome law of the
     strategy (label-averaged); the MC column samples the same experiment.
-    Each cell is one pool job drawing on its own stream, spawned from the
-    seed in cell order, so the rows are deterministic in (seed, config) and
-    independent of the worker count.
+    Each size N is one pool job sampling once on its own stream, spawned from
+    the seed in ascending-N order; its cells share those draws (common random
+    numbers), each unbiased with the same ``mc_stderr``.  With one exact job
+    per cell, the rows depend only on (seed, config), not on the worker count.
     """
     dist = mixture_outcome_distribution(PAIR_STRATEGIES[config.strategy])
-    cells = sorted({(f, n) for n in config.sizes for f in config.ftol_grid})
-    streams = root_rng(config.seed).spawn(len(cells))
-
-    def run_cell(i: int) -> str:
-        f_tol, n = cells[i]
-        exact = double_acceptance_exact(n, f_tol, dist)
-        p_hat = double_accept_mc(n, f_tol, dist, config.trials, streams[i]) / config.trials
-        stderr = (p_hat * (1.0 - p_hat) / config.trials) ** 0.5
-        return f"{f_tol},{n},{exact!r},{p_hat!r},{stderr!r}"
-
+    ftols, sizes = sorted(set(config.ftol_grid)), sorted(set(config.sizes))
+    cells = [(f, n) for f in ftols for n in sizes]
+    streams = root_rng(config.seed).spawn(len(sizes))
     with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
-        return list(pool.map(run_cell, range(len(cells))))
+        mc = [pool.submit(double_accept_mc, n, ftols, dist, config.trials, stream)
+              for n, stream in zip(sizes, streams)]
+        exacts = pool.map(lambda c: double_acceptance_exact(c[1], c[0], dist), cells)
+        p_hats = (np.stack([job.result() for job in mc], axis=1).ravel()
+                  / config.trials).tolist()    # in cell order
+    return [f"{f},{n},{e!r},{p!r},{(p * (1.0 - p) / config.trials) ** 0.5!r}"
+            for (f, n), e, p in zip(cells, exacts, p_hats)]
 
 
 def cmd_sweep_double_accept(config: ExperimentConfig) -> int:

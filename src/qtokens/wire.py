@@ -78,9 +78,9 @@ class LineChannel:
 
     def recv(self, limit: int = MAX_LINE_BYTES) -> dict[str, Any] | None:
         """Next message, or None on clean EOF.  A line over ``limit`` bytes
-        is refused after at most one more chunk.  Only the newest chunk is
-        searched for the newline and the pending chunks are joined once, so a
-        line costs time linear in its length."""
+        (newline excluded) is refused after at most one more chunk.  Only the
+        newest chunk is searched for the newline and the pending chunks are
+        joined once, so a line costs time linear in its length."""
         chunk, parts, size = self._buffer, [], 0
         cut = chunk.find(b"\n")
         while cut < 0:
@@ -98,6 +98,8 @@ class LineChannel:
             cut = chunk.find(b"\n")
         parts.append(chunk[:cut])
         self._buffer = chunk[cut + 1:]
+        if size + cut > limit:
+            raise ProtocolError("message exceeds line limit")
         return parse(b"".join(parts))
 
     def close(self) -> None:

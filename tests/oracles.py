@@ -9,6 +9,10 @@ The cloning-ceiling references build their operators from the package's
 ``PROJECTOR_STACK``; the see-saw search that approaches each ceiling is
 their achievable-value route.
 
+``double_accept_mc_one`` replays the package sampler's multinomial draws
+(same ``MC_BATCH`` batches) and compares each copy's count with one
+threshold, the route the survival-histogram read-out replaces.
+
 The retrieval-game references (witness, value of a projection, products,
 restriction, multiplexed measurements) read a package game's arrays but
 rebuild each operator one state at a time.
@@ -34,7 +38,7 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from qtokens.attacks import UNIVERSAL_CLONER
+from qtokens.attacks import MC_BATCH, UNIVERSAL_CLONER
 from qtokens.core import LABELS, PROJECTOR_STACK, check_density_matrix
 from qtokens.cv import (CvVerifier, complement_question, cv_issue,
                         random_question, register, score_answer)
@@ -287,6 +291,25 @@ def cloner_double_accept(n: int, k: int) -> float:
             inner = float(np.exp(lf[m] - lf[j] - lf[m - j] + m * lhalf).sum())
         out.append(math.exp(log_pt) * min(1.0, inner))
     return min(1.0, math.fsum(out))
+
+
+def double_accept_mc_one(n: int, f_tol, dist, trials: int,
+                         rng: np.random.Generator) -> int:
+    """Per-threshold twin of ``attacks.double_accept_mc``: the same
+    multinomial draws, batch by batch, each copy's count compared with one
+    threshold directly.  A generator seeded alike gives the same hits."""
+    k_min = threshold_count(f_tol, n)
+    pvals = np.asarray(dist, dtype=float)
+    hits = 0
+    done = 0
+    while done < trials:
+        b = min(MC_BATCH, trials - done)
+        counts = rng.multinomial(n, pvals, size=b)
+        first = counts[:, 0] + counts[:, 1]
+        second = counts[:, 0] + counts[:, 2]
+        hits += int(((first >= k_min) & (second >= k_min)).sum())
+        done += b
+    return hits
 
 
 def honest_copy_double_accept(n: int, r: int, k: int) -> float:

@@ -174,12 +174,40 @@ def test_counterfeit_joint_counts_per_label(strategy, label, rng):
 
 
 def test_double_accept_mc_agrees_with_exact(rng):
-    n, f_tol, trials = 100, Fraction(4, 5), 200_000
+    n, trials = 100, 200_000
+    grid = [Fraction(k, 100) for k in range(70, 96)]
     dist = mixture_outcome_distribution(UNIVERSAL_CLONER)
-    p = double_acceptance_exact(n, f_tol, dist)
-    hits = double_accept_mc(n, f_tol, dist, trials, rng)
-    sigma = math.sqrt(p * (1.0 - p) * trials)
-    assert abs(hits - p * trials) < 4.0 * sigma
+    hits = double_accept_mc(n, grid, dist, trials, rng)
+    assert hits.shape == (len(grid),)
+    for f_tol, h in zip(grid, hits):
+        p = double_acceptance_exact(n, f_tol, dist)
+        sigma = math.sqrt(p * (1.0 - p) * trials)
+        assert abs(h - p * trials) < 4.0 * sigma, (f_tol, h, p * trials)
+
+
+@pytest.mark.parametrize("strategy", sorted(PAIR_STRATEGIES))
+def test_double_accept_mc_survival_counts_match_per_threshold_oracle(strategy, rng_factory):
+    # trials above MC_BATCH, so both routes run the batch loop; the grid
+    # holds k < 0, k = 0, k = N and k > N
+    n, trials = 12, 60_000
+    grid = [Fraction(-1, 10), Fraction(0), Fraction(1, 2), Fraction(5, 6),
+            Fraction(11, 12), Fraction(1), Fraction(13, 12)]
+    dist = mixture_outcome_distribution(PAIR_STRATEGIES[strategy])
+    hits = double_accept_mc(n, grid, dist, trials, rng_factory(3))
+    want = [O.double_accept_mc_one(n, f, dist, trials, rng_factory(3))
+            for f in grid]
+    assert hits.tolist() == want
+    assert want[0] == want[1] == trials and want[-1] == 0
+
+
+def test_double_accept_mc_keeps_the_order_given(rng_factory):
+    grid = [Fraction(9, 10), Fraction(3, 4), Fraction(4, 5), Fraction(3, 4)]
+    dist = mixture_outcome_distribution(MEASURE_REPREPARE_Z)
+    hits = double_accept_mc(40, grid, dist, 5_000, rng_factory(1))
+    want = double_accept_mc(40, sorted(set(grid)), dist, 5_000, rng_factory(1))
+    by_f = dict(zip(sorted(set(grid)), want.tolist()))
+    assert hits.tolist() == [by_f[f] for f in grid]
+    assert double_accept_mc(40, [], dist, 10, rng_factory(2)).shape == (0,)
 
 
 def test_uniform_guess_success_is_one_half():

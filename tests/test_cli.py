@@ -43,19 +43,47 @@ def test_sweep_rows_independent_of_worker_count():
     assert len(rows1) == 2
 
 
-def test_sweep_cell_i_samples_on_the_ith_spawned_stream():
-    # cells in (f_tol, N) order; cell i draws its whole MC column from
-    # root_rng(seed).spawn(len(cells))[i]
+def test_sweep_size_j_samples_on_the_jth_spawned_stream():
+    # rows in (f_tol, N) order; the j-th smallest N draws the MC column of
+    # all its cells from root_rng(seed).spawn(len(sizes))[j]
+    grid = (Fraction(4, 5), Fraction(3, 4))
     config = ExperimentConfig(seed=11, trials=3_000, sizes=(30, 12),
-                              ftol_grid=(Fraction(4, 5),),
-                              strategy="measure-reprepare-z", jobs=2)
+                              ftol_grid=grid, strategy="measure-reprepare-z", jobs=2)
     dist = mixture_outcome_distribution(PAIR_STRATEGIES[config.strategy])
     streams = root_rng(config.seed).spawn(2)
     rows = sweep_rows(config)
-    assert [row.split(",")[:2] for row in rows] == [["4/5", "12"], ["4/5", "30"]]
-    for row, n, stream in zip(rows, (12, 30), streams):
-        hits = double_accept_mc(n, Fraction(4, 5), dist, config.trials, stream)
-        assert float(row.split(",")[3]) == hits / config.trials
+    assert [row.split(",")[:2] for row in rows] == [
+        ["3/4", "12"], ["3/4", "30"], ["4/5", "12"], ["4/5", "30"]]
+    for j, (n, stream) in enumerate(zip((12, 30), streams)):
+        hits = double_accept_mc(n, sorted(grid), dist, config.trials, stream)
+        column = [float(row.split(",")[3]) for row in rows[j::2]]
+        assert column == [h / config.trials for h in hits.tolist()]
+
+
+def test_sweep_mc_column_never_rises_with_ftol():
+    # the cells of one N share their draws, so each curve is monotone
+    config = ExperimentConfig(seed=4, trials=2_000, sizes=(40, 16),
+                              ftol_grid=tuple(Fraction(k, 20) for k in range(21)),
+                              strategy="intermediate-basis")
+    curves: dict[str, list[float]] = {}
+    for row in sweep_rows(config):
+        _, n, _, p_hat, _ = row.split(",")
+        curves.setdefault(n, []).append(float(p_hat))
+    assert sorted(curves) == ["16", "40"]
+    for column in curves.values():
+        assert len(column) == 21 and column[0] == 1.0
+        assert all(b <= a for a, b in zip(column, column[1:]))
+
+
+def test_sweep_duplicate_sizes_and_thresholds_give_one_row_per_cell(capsys):
+    argv = ["sweep", "--N", "20", "--N", "8", "--ftol", "3/4", "--trials", "500",
+            "--seed", "2"]
+    assert cli.main(argv) == 0
+    once = capsys.readouterr().out
+    assert cli.main(argv + ["--N", "20", "--ftol", "3/4", "--ftol", "0.75"]) == 0
+    assert capsys.readouterr().out == once
+    assert [line.split(",")[:2] for line in once.splitlines()[1:]] == [
+        ["3/4", "8"], ["3/4", "20"]]
 
 
 def test_sweep_row_columns_match_library():

@@ -13,9 +13,9 @@ from qtokens import wire
 from qtokens.channels import depolarizing, depolarizing_for_fidelity, identity_channel
 from qtokens.bounds import cv_complementary_bound
 from qtokens.core import TokenConsumedError
-from qtokens.cv import (AXES, PAIRINGS, QUESTION_POLICIES, ChallengeQuestion,
-                        CvLayout, CvToken, CvVerifier, complement_question,
-                        cv_issue,
+from qtokens.cv import (AXES, HELLO_LINE_BYTES, PAIRINGS, QUESTION_POLICIES,
+                        ChallengeQuestion, CvLayout, CvToken, CvVerifier,
+                        complement_question, cv_issue,
                         double_spend_experiment, honest_answer,
                         honest_protocol_experiment, random_question, register,
                         run_holder, score_answer)
@@ -439,6 +439,21 @@ def test_oversized_answer_is_refused_within_its_cap(rng):
     assert msg == wire.error_message("protocol-error", "message exceeds line limit")
     assert counted.received - hello_bytes <= cap + 65536
     assert store.get(secret.serial)["accepted_count"] == 0
+
+
+@pytest.mark.parametrize("extra, reply", [(0, "challenge"), (1, "error")])
+def test_hello_cap_is_exact_when_sent_in_one_piece(rng, extra, reply):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    bare = len(wire.serialize(wire.hello_message(secret.serial) | {"pad": ""})) - 1
+    pad = "x" * (HELLO_LINE_BYTES - bare + extra)
+    line = wire.serialize(wire.hello_message(secret.serial) | {"pad": pad})
+    assert len(line) == HELLO_LINE_BYTES + extra + 1
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        hchan._sock.sendall(line)
+        msg = hchan.recv()
+    assert msg["type"] == reply
+    if reply == "error":
+        assert msg == wire.error_message("protocol-error", "message exceeds line limit")
 
 
 def test_wire_non_answer_reply_aborts(rng):

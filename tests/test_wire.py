@@ -259,6 +259,21 @@ def test_line_channel_over_limit_line_raises():
         wire.LineChannel(sock).recv()   # the default limit is far above 1000
 
 
+def test_line_channel_limit_counts_the_chunk_that_holds_the_newline():
+    # each line arrives in one piece, so its newline sits in the chunk that
+    # crosses the limit
+    a, b = wire.LineChannel.pair()
+    with a, b:
+        at_limit = b'{"type":"hello","pad":"' + b"x" * 4071 + b'"}'
+        assert len(at_limit) == 4096
+        a._sock.sendall(at_limit + b"\n")
+        assert b.recv(4096) == {"type": "hello", "pad": "x" * 4071}
+        a._sock.sendall(at_limit[:-2] + b'x"}\n' + b'{"type":"verdict"}\n')
+        with pytest.raises(wire.ProtocolError, match="line limit"):
+            b.recv(4096)
+        assert b.recv(4096) == {"type": "verdict"}   # the refused line is dropped
+
+
 def test_line_channel_limit_constant():
     assert wire.MAX_LINE_BYTES == 64 * 1024 * 1024
     assert inspect.signature(wire.LineChannel.recv).parameters["limit"].default \
