@@ -11,7 +11,6 @@ import json
 import os
 import socket
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -359,21 +358,23 @@ def _verdict_exit(message: dict | None) -> int:
     return EXIT_OK if message.get("accepted") else EXIT_REJECTED
 
 
-class _EchoChannel:
-    """Holder end of a channel that prints each message as it passes."""
+class _DemoChannel:
+    """Holder end of the in-process demo: ``send`` prints each message and
+    hands it to the verifier's next step, ``recv`` prints the reply."""
 
-    def __init__(self, chan: wire.LineChannel, args):
-        self.chan = chan
-        self.args = args
+    def __init__(self, verifier: CvVerifier, args):
+        self.verifier, self.args, self.session = verifier, args, None
 
     def send(self, message: dict) -> None:
         _emit(self.args, ">>", message)
-        self.chan.send(message)
+        if self.session is None:
+            self.reply, self.session = self.verifier.challenge(message)
+        else:
+            self.reply = self.verifier.judge(self.session, message)
 
-    def recv(self) -> dict | None:
-        message = self.chan.recv()
-        _emit(self.args, "<<", message)
-        return message
+    def recv(self) -> dict:
+        _emit(self.args, "<<", self.reply)
+        return self.reply
 
 
 def _demo_in_process(args) -> int:
@@ -385,16 +386,7 @@ def _demo_in_process(args) -> int:
     if args.noise_fidelity is not None:
         token = degrade(token, depolarizing_for_fidelity(args.noise_fidelity))
     verifier = CvVerifier(store, rng.spawn(1)[0], question_policy=args.policy)
-    holder_chan, verifier_chan = wire.LineChannel.pair()
-    thread = threading.Thread(target=verifier.serve_one, args=(verifier_chan,),
-                              daemon=True)
-    thread.start()
-    try:
-        verdict = run_holder(_EchoChannel(holder_chan, args), token, rng)
-    finally:
-        thread.join(timeout=30)
-        holder_chan.close()
-        verifier_chan.close()
+    verdict = run_holder(_DemoChannel(verifier, args), token, rng)
     if args.store is not None:
         store.save()
     return _verdict_exit(verdict)

@@ -7,14 +7,16 @@ the bits, and the verifier scores only the member whose preparation axis was
 asked.  A token passes when every block clears ceil(f_tol * r) correct
 scored bits, so acceptance never requires revealing which member mattered.
 
-The verifier side runs as a message-driven session over
-:class:`~qtokens.wire.LineChannel`; redemption budgets live in
-:class:`~qtokens.store.SecretStore`.
+The verifier answers messages, not sockets: ``CvVerifier.challenge`` and
+``judge`` do no I/O, and ``serve_one`` runs them over a LineChannel under
+per-message size caps and deadlines.  Budgets live in the SecretStore.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,12 +191,6 @@ def register(store: SecretStore, layout: CvLayout, secret: CvSecret) -> None:
                  layout.f_tol, secret.pairs)
 
 
-def _secret_from_record(rec: dict) -> tuple[CvLayout, CvSecret]:
-    layout = CvLayout(rec["n"], rec["r"], Fraction(rec["f_tol"]))
-    pairs = labels_from_strings([s for pair in rec["pairs"] for s in pair])
-    return layout, CvSecret(rec["serial"], pairs.reshape(rec["n"], rec["r"], 2))
-
-
 # ---------------------------------------------------------------------------
 # Wire sessions.
 
@@ -204,11 +200,20 @@ QUESTION_POLICIES = ("random", "fixed", "complementary")
 #: one byte per qubit of the layout plus the rest of its line.
 HELLO_LINE_BYTES = 4 * 1024
 ANSWER_SLACK_BYTES = 1024
+#: Seconds the verifier waits for each whole holder message.
+MESSAGE_DEADLINE_S = 10.0
+
+
+class CvSession(NamedTuple):
+    """A challenged session awaiting its answer."""
+    layout: CvLayout
+    secret: CvSecret
+    question: ChallengeQuestion
 
 
 class CvVerifier:
-    """One verification session per call: hello -> challenge -> answer ->
-    verdict, with error aborts for unknown serials and exhausted budgets."""
+    """Hello -> challenge -> answer -> verdict as two I/O-free steps,
+    :meth:`challenge` and :meth:`judge`, and :meth:`serve_one` over a channel."""
 
     def __init__(self, store: SecretStore, rng: np.random.Generator,
                  question_policy: str = "random", max_attempts: int = 8):
@@ -231,64 +236,66 @@ class CvVerifier:
         self.store.stash_question(serial, list(question.axes))
         return question
 
-    def serve_one(self, chan: wire.LineChannel) -> dict | None:
-        """Run a single session; returns the final message sent (or None on
-        immediate EOF)."""
-        try:
-            msg = chan.recv(HELLO_LINE_BYTES)
-        except wire.ProtocolError as exc:
-            return self._abort(chan, "protocol-error", str(exc))
-        if msg is None:
-            return None
-        if msg["type"] != "hello" or not isinstance(msg.get("serial"), str):
-            return self._abort(chan, "protocol-error", "expected hello with a string serial")
-        serial = msg["serial"]
+    def challenge(self, hello: dict) -> tuple[dict, CvSession | None]:
+        """First step: the reply to a holder's hello and the session it opens,
+        or the error that refuses it and None."""
+        if hello["type"] != "hello" or not isinstance(hello.get("serial"), str):
+            return wire.error_message("protocol-error",
+                                      "expected hello with a string serial"), None
+        serial = hello["serial"]
         try:
             rec = self.store.get(serial)
         except UnknownSerialError:
-            return self._abort(chan, "unknown-serial", serial)
+            return wire.error_message("unknown-serial", serial), None
         if "pairs" not in rec:
-            return self._abort(chan, "protocol-error",
-                               f"serial {serial} is not a paired-block token")
+            return wire.error_message(
+                "protocol-error", f"serial {serial} is not a paired-block token"), None
         refusal = self.store.begin_attempt(serial, self.max_attempts)
         if refusal is not None:
-            return self._abort(chan, refusal, serial)
-        layout, secret = _secret_from_record(rec)
+            return wire.error_message(refusal, serial), None
+        layout = CvLayout(rec["n"], rec["r"], Fraction(rec["f_tol"]))
+        pairs = labels_from_strings([s for pair in rec["pairs"] for s in pair])
+        secret = CvSecret(serial, pairs.reshape(rec["n"], rec["r"], 2))
         question = self._pick_question(layout, serial)
-        chan.send(wire.challenge_message(question.question_id, question.axes))
+        return (wire.challenge_message(question.question_id, question.axes),
+                CvSession(layout, secret, question))
 
-        try:
-            reply = chan.recv(layout.n_qubits + ANSWER_SLACK_BYTES)
-        except wire.ProtocolError as exc:
-            return self._abort(chan, "protocol-error", str(exc))
+    def judge(self, session: CvSession, reply: dict | None) -> dict:
+        """Second step: the verdict on the holder's answer, or the error that
+        ends the session."""
+        layout, secret, question = session
         if reply is None or reply["type"] != "answer":
-            return self._abort(chan, "protocol-error", "expected an answer")
+            return wire.error_message("protocol-error", "expected an answer")
         if reply.get("question_id") != question.question_id:
-            return self._finish(chan, False, "question-mismatch")
+            return wire.verdict_message(False, "question-mismatch")
         try:
             outcomes = wire.decode_outcomes(reply["outcomes"],
                                             (layout.n_blocks, layout.block_size))
             card = score_answer(secret, question, outcomes, layout)
         except (KeyError, TypeError, ValueError, wire.ProtocolError) as exc:
-            return self._abort(chan, "protocol-error", f"malformed answer: {exc}")
-        if card.accepted and not self.store.try_accept(serial):
-            return self._finish(chan, False, "already-redeemed")
+            return wire.error_message("protocol-error", f"malformed answer: {exc}")
+        if card.accepted and not self.store.try_accept(secret.serial):
+            return wire.verdict_message(False, "already-redeemed")
         reason = None if card.accepted else "below-threshold"
-        return self._finish(chan, card.accepted, reason)
+        return wire.verdict_message(card.accepted, reason)
 
-    def _abort(self, chan: wire.LineChannel, code: str, detail: str) -> dict:
-        msg = wire.error_message(code, detail)
+    def serve_one(self, chan: wire.LineChannel) -> dict | None:
+        """One session over ``chan``: the final message sent, or None on immediate
+        EOF.  A broken, slow or garbled peer ends it with ``protocol-error``."""
         try:
-            chan.send(msg)
-        except OSError:
-            pass
-        return msg
-
-    def _finish(self, chan: wire.LineChannel, accepted: bool,
-                reason: str | None) -> dict:
-        msg = wire.verdict_message(accepted, reason)
-        chan.send(msg)
-        return msg
+            hello = chan.recv(HELLO_LINE_BYTES, MESSAGE_DEADLINE_S)
+            if hello is None:
+                return None
+            final, session = self.challenge(hello)
+            if session is not None:
+                chan.send(final)
+                cap = session.layout.n_qubits + ANSWER_SLACK_BYTES
+                final = self.judge(session, chan.recv(cap, MESSAGE_DEADLINE_S))
+        except (wire.ProtocolError, OSError) as exc:
+            final = wire.error_message("protocol-error", str(exc))
+        with contextlib.suppress(OSError):
+            chan.send(final)
+        return final
 
 
 def run_holder(chan: wire.LineChannel, token: CvToken,

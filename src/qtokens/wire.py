@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 from typing import Any
 
 import numpy as np
@@ -76,11 +77,15 @@ class LineChannel:
     def send(self, message: dict[str, Any]) -> None:
         self._sock.sendall(serialize(message))
 
-    def recv(self, limit: int = MAX_LINE_BYTES) -> dict[str, Any] | None:
+    def recv(self, limit: int = MAX_LINE_BYTES,
+             timeout: float | None = None) -> dict[str, Any] | None:
         """Next message, or None on clean EOF.  A line over ``limit`` bytes
         (newline excluded) is refused after at most one more chunk.  Only the
         newest chunk is searched for the newline and the pending chunks are
-        joined once, so a line costs time linear in its length."""
+        joined once, so a line costs time linear in its length.  With a
+        ``timeout`` the whole line must arrive within that many seconds: each
+        socket read waits only for what is left of it."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         chunk, parts, size = self._buffer, [], 0
         cut = chunk.find(b"\n")
         while cut < 0:
@@ -89,7 +94,7 @@ class LineChannel:
             if size > limit:
                 self._buffer = b"".join(parts)
                 raise ProtocolError("message exceeds line limit")
-            chunk = self._sock.recv(65536)
+            chunk = self._read(deadline)
             if not chunk:
                 self._buffer = b"".join(parts)
                 if size:
@@ -101,6 +106,21 @@ class LineChannel:
         if size + cut > limit:
             raise ProtocolError("message exceeds line limit")
         return parse(b"".join(parts))
+
+    def _read(self, deadline: float | None) -> bytes:
+        if deadline is None:
+            return self._sock.recv(65536)
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise ProtocolError("timeout")
+        saved = self._sock.gettimeout()
+        self._sock.settimeout(left)
+        try:
+            return self._sock.recv(65536)
+        except TimeoutError:
+            raise ProtocolError("timeout") from None
+        finally:
+            self._sock.settimeout(saved)
 
     def close(self) -> None:
         try:

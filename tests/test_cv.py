@@ -4,15 +4,19 @@ import json
 import math
 import socket
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, settings, strategies as st
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, consumes,
+                                 initialize, invariant, multiple, rule)
 
-from qtokens import wire
+from qtokens import cv, wire
 from qtokens.channels import depolarizing, depolarizing_for_fidelity, identity_channel
 from qtokens.bounds import cv_complementary_bound
-from qtokens.core import TokenConsumedError
+from qtokens.core import LABELS, TokenConsumedError
 from qtokens.cv import (AXES, HELLO_LINE_BYTES, PAIRINGS, QUESTION_POLICIES,
                         ChallengeQuestion, CvLayout, CvToken, CvVerifier,
                         complement_question, cv_issue,
@@ -578,6 +582,216 @@ def test_run_holder_surfaces_errors(rng):
     with _spawned_verifier(verifier.serve_one) as (hchan, _):
         msg = run_holder(hchan, token, rng)
     assert msg["type"] == "error" and msg["code"] == "unknown-serial"
+
+
+class _HangUpAfterAnswer(wire.LineChannel):
+    """Verifier end whose challenge makes the holder send a perfect answer
+    and close its own end at once, before the verdict goes out."""
+
+    def __init__(self, sock, hchan, secret):
+        super().__init__(sock)
+        self.hchan, self.secret = hchan, secret
+
+    def send(self, message):
+        super().send(message)
+        if message["type"] == "challenge":
+            self.hchan.send(wire.answer_message(message["question_id"],
+                                                _perfect_sheet(self.secret)))
+            self.hchan.close()
+
+
+def test_holder_hanging_up_before_the_verdict_keeps_its_acceptance(rng):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    a, b = socket.socketpair()
+    with wire.LineChannel(b) as hchan, _HangUpAfterAnswer(a, hchan, secret) as vchan:
+        hchan.send(wire.hello_message(secret.serial))
+        final = verifier.serve_one(vchan)    # the verdict's send hits a closed peer
+    assert final == wire.verdict_message(True)
+    rec = store.get(secret.serial)
+    assert (rec["accepted_count"], rec["attempts"]) == (1, 1)
+
+
+class _ResetAfterChallenge:
+    """A channel whose peer sends a hello, then resets the connection."""
+
+    def __init__(self, serial):
+        self.inbox, self.sent = [wire.hello_message(serial)], []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def recv(self, limit, timeout=None):
+        if not self.inbox:
+            raise ConnectionResetError("connection reset by peer")
+        return self.inbox.pop()
+
+
+def test_peer_reset_ends_the_session_with_a_protocol_error(rng):
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    chan = _ResetAfterChallenge(secret.serial)
+    final = verifier.serve_one(chan)
+    assert final == wire.error_message("protocol-error", "connection reset by peer")
+    assert [m["type"] for m in chan.sent] == ["challenge", "error"]
+    assert store.get(secret.serial)["attempts"] == 1
+
+
+@pytest.mark.parametrize("holder, attempts", [("mute", 0), ("silent", 1), ("trickle", 1)])
+def test_slow_holder_times_out_within_the_message_deadline(rng, monkeypatch,
+                                                           holder, attempts):
+    # mute sends nothing; silent sends its hello only; trickle then sends one
+    # byte of a never-ending answer every 50 ms
+    deadline = 0.3
+    monkeypatch.setattr(cv, "MESSAGE_DEADLINE_S", deadline)
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    stop = threading.Event()
+
+    def trickle():
+        hchan.recv()
+        while not stop.wait(0.05):
+            hchan._sock.sendall(b"x")
+
+    thread = threading.Thread(target=trickle, daemon=True)
+    vchan, hchan = wire.LineChannel.pair()
+    with vchan, hchan:
+        if holder != "mute":
+            hchan.send(wire.hello_message(secret.serial))
+        if holder == "trickle":
+            thread.start()
+        start = time.monotonic()
+        final = verifier.serve_one(vchan)
+        elapsed = time.monotonic() - start
+        stop.set()
+        if holder == "trickle":
+            thread.join(timeout=5.0)
+    assert final == wire.error_message("protocol-error", "timeout")
+    assert elapsed < 2 * deadline
+    assert store.get(secret.serial)["attempts"] == attempts
+
+
+# -- the verifier's two steps, without a channel -----------------------------------
+
+_BAD_HELLOS = [wire.hello_message(5), wire.hello_message(None), {"type": "hello"},
+               wire.answer_message("q", [])]
+
+
+def _reply(kind: str, session) -> dict | None:
+    """A holder's second message of the given kind for an open session."""
+    qid = session.question.question_id
+    sheet = _perfect_sheet(session.secret)
+    if kind == "abandoned":
+        return None                     # the holder hung up
+    if kind == "perfect":
+        return wire.answer_message(qid, sheet)
+    if kind == "wrong":
+        return wire.answer_message(qid, 1 - sheet)
+    if kind == "stale":
+        return wire.answer_message("0" * 16, sheet)
+    if kind == "hello":
+        return wire.hello_message(session.secret.serial)
+    if kind == "no-outcomes":
+        return {"type": "answer", "v": wire.PROTOCOL_VERSION, "question_id": qid}
+    bits = wire.answer_message(qid, sheet)["outcomes"]
+    return wire.answer_message(qid, []) | {
+        "short": {"outcomes": bits[:-1]},
+        "bad-bit": {"outcomes": "2" + bits[1:]},
+        "grid": {"outcomes": [list(bits)]},
+    }[kind]
+
+
+class VerifierSteps(RuleBasedStateMachine):
+    """Interleaved sessions on one store through ``challenge`` and ``judge``:
+    hellos (replays of spent serials among them), unknown serials, bad hellos,
+    and honest, wrong, stale, malformed or abandoned answers."""
+
+    MAX_ATTEMPTS = 3
+    sessions = Bundle("sessions")
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.Generator(np.random.Philox(7))
+        self.layout = CvLayout(2, 4, Fraction(3, 4))
+        self.store = SecretStore()
+        self.serials = []
+        for _ in range(2):
+            secret, _ = cv_issue(self.layout, rng)
+            register(self.store, self.layout, secret)
+            self.serials.append(secret.serial)
+        self.rng = rng
+        self.opened = {s: 0 for s in self.serials}
+        self.accepted = {s: 0 for s in self.serials}
+        self.open, self.ended, self.replies = {}, [], []
+
+    @initialize(policy=st.sampled_from(QUESTION_POLICIES))
+    def make_verifier(self, policy):
+        self.verifier = CvVerifier(self.store, self.rng, policy, self.MAX_ATTEMPTS)
+
+    def _record(self, reply):
+        line = wire.serialize(reply).decode()
+        assert not any(name in line for name in LABELS)   # no label or pair name
+        self.replies.append(reply)
+
+    def _challenge(self, hello):
+        reply, session = self.verifier.challenge(hello)
+        self._record(reply)
+        if session is None:
+            assert reply["type"] == "error"
+            return multiple()
+        assert reply["type"] == "challenge"
+        self.opened[session.secret.serial] += 1
+        self.open[id(session)] = session
+        return session
+
+    def _judge(self, session, reply):
+        del self.open[id(session)]
+        final = self.verifier.judge(session, reply)
+        self._record(final)
+        self.ended.append(final)
+        assert final["type"] in ("verdict", "error")
+        self.accepted[session.secret.serial] += final.get("accepted", False)
+        return final
+
+    @rule(target=sessions, i=st.integers(0, 1))
+    def hello(self, i):
+        return self._challenge(wire.hello_message(self.serials[i]))
+
+    @rule(serial=st.text("0123456789abcdef", min_size=1, max_size=32))
+    def unknown_hello(self, serial):
+        assume(serial not in self.serials)
+        self._challenge(wire.hello_message(serial))
+        assert self.replies[-1] == wire.error_message("unknown-serial", serial)
+
+    @rule(hello=st.sampled_from(_BAD_HELLOS))
+    def bad_hello(self, hello):
+        self._challenge(hello)
+        assert self.replies[-1]["code"] == "protocol-error"
+
+    @rule(session=consumes(sessions))
+    def perfect_answer(self, session):
+        assert self._judge(session, _reply("perfect", session))["type"] == "verdict"
+
+    @rule(session=consumes(sessions),
+          kind=st.sampled_from(["wrong", "stale", "abandoned", "hello", "short",
+                                "bad-bit", "grid", "no-outcomes"]))
+    def failing_answer(self, session, kind):
+        assert not self._judge(session, _reply(kind, session)).get("accepted")
+
+    @invariant()
+    def budgets_hold(self):
+        for serial in self.serials:
+            rec = self.store.get(serial)
+            assert rec["accepted_count"] == self.accepted[serial] <= 1
+            assert rec["attempts"] == self.opened[serial] <= self.MAX_ATTEMPTS
+
+    def teardown(self):
+        for session in list(self.open.values()):
+            self._judge(session, None)      # left open: the holder hung up
+        assert not self.open
+        assert len(self.ended) == sum(self.opened.values())
+
+
+TestVerifierSteps = VerifierSteps.TestCase
+TestVerifierSteps.settings = settings(derandomize=True, max_examples=60,
+                                      stateful_step_count=30, deadline=None)
 
 
 # -- batched experiments -------------------------------------------------------------

@@ -283,3 +283,15 @@ def test_line_channel_limit_constant():
 def test_message_type_registry():
     assert wire.MESSAGE_TYPES == ("hello", "challenge", "answer", "verdict",
                                   "error")
+
+
+def test_line_channel_timeout_puts_the_socket_timeout_back():
+    a, b = wire.LineChannel.pair()
+    with a, b:
+        b._sock.settimeout(10.0)
+        with pytest.raises(wire.ProtocolError, match="^timeout$"):
+            b.recv(timeout=0.05)
+        assert b._sock.gettimeout() == 10.0
+        a.send(wire.hello_message("s"))
+        assert b.recv(timeout=5.0) == wire.hello_message("s")
+        assert b._sock.gettimeout() == 10.0
