@@ -20,7 +20,7 @@ from .cv import (AnswerSheet, ChallengeQuestion, CvLayout, CvSecret, CvToken,
 from .games import Wqrg, build_cv_pair_games, selective_value
 from .qticket import (QticketSecret, VerificationOutcome, degrade,
                       double_acceptance_exact, exact_honest_acceptance, issue,
-                      multicopy_issue, redeem, verify)
+                      redeem, verify)
 from .rng import default_seed, root_rng
 from .store import SecretStore, UnknownSerialError
 

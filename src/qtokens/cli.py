@@ -217,23 +217,25 @@ def sweep_rows(config: ExperimentConfig) -> list[str]:
 
     The exact column integrates the per-position joint outcome law of the
     strategy (label-averaged); the MC column samples the same experiment.
-    Each size N is one pool job sampling once on its own stream, spawned from
-    the seed in ascending-N order; its cells share those draws (common random
-    numbers), each unbiased with the same ``mc_stderr``.  With one exact job
-    per cell, the rows depend only on (seed, config), not on the worker count.
+    Each size N is one pool job: one exact call answers every threshold, and
+    one draw on the size's own stream, spawned from the seed in ascending-N
+    order, serves all its cells (common random numbers), each unbiased with
+    the same ``mc_stderr``.  The rows depend only on (seed, config), not on
+    the worker count.
     """
     dist = mixture_outcome_distribution(PAIR_STRATEGIES[config.strategy])
     ftols, sizes = sorted(set(config.ftol_grid)), sorted(set(config.sizes))
-    cells = [(f, n) for f in ftols for n in sizes]
     streams = root_rng(config.seed).spawn(len(sizes))
+
+    def size_rows(n: int, stream) -> list[str]:
+        exact = double_acceptance_exact(n, ftols, dist).tolist()
+        hits = double_accept_mc(n, ftols, dist, config.trials, stream)
+        return [f"{f},{n},{e!r},{p!r},{(p * (1.0 - p) / config.trials) ** 0.5!r}"
+                for f, e, p in zip(ftols, exact, (hits / config.trials).tolist())]
+
     with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
-        mc = [pool.submit(double_accept_mc, n, ftols, dist, config.trials, stream)
-              for n, stream in zip(sizes, streams)]
-        exacts = pool.map(lambda c: double_acceptance_exact(c[1], c[0], dist), cells)
-        p_hats = (np.stack([job.result() for job in mc], axis=1).ravel()
-                  / config.trials).tolist()    # in cell order
-    return [f"{f},{n},{e!r},{p!r},{(p * (1.0 - p) / config.trials) ** 0.5!r}"
-            for (f, n), e, p in zip(cells, exacts, p_hats)]
+        per_size = list(pool.map(size_rows, sizes, streams))
+    return [row for cells in zip(*per_size) for row in cells]   # f_tol-major
 
 
 def cmd_sweep_double_accept(config: ExperimentConfig) -> int:
@@ -360,7 +362,8 @@ def _verdict_exit(message: dict | None) -> int:
 
 class _DemoChannel:
     """Holder end of the in-process demo: ``send`` prints each message and
-    hands it to the verifier's next step, ``recv`` prints the reply."""
+    hands it to the verifier's next step, ``recv`` prints the reply; the
+    holder's caps and deadline have nothing to bound in-process."""
 
     def __init__(self, verifier: CvVerifier, args):
         self.verifier, self.args, self.session = verifier, args, None
@@ -372,7 +375,7 @@ class _DemoChannel:
         else:
             self.reply = self.verifier.judge(self.session, message)
 
-    def recv(self) -> dict:
+    def recv(self, limit: int, timeout: float) -> dict:
         _emit(self.args, "<<", self.reply)
         return self.reply
 

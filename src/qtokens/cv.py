@@ -196,11 +196,13 @@ def register(store: SecretStore, layout: CvLayout, secret: CvSecret) -> None:
 
 QUESTION_POLICIES = ("random", "fixed", "complementary")
 
-#: Receive caps of the verifier: a hello carries only a serial, and an answer
-#: one byte per qubit of the layout plus the rest of its line.
+#: Receive caps.  The verifier reads a hello, which carries only a serial, and
+#: an answer, one byte per qubit of the layout plus the rest of its line.  The
+#: holder reads a challenge, ``"Z",`` per block, or an error no longer than its
+#: hello, plus the same slack, and then a verdict no longer than a hello.
 HELLO_LINE_BYTES = 4 * 1024
 ANSWER_SLACK_BYTES = 1024
-#: Seconds the verifier waits for each whole holder message.
+#: Seconds either side waits for each whole message of its peer.
 MESSAGE_DEADLINE_S = 10.0
 
 
@@ -302,9 +304,13 @@ def run_holder(chan: wire.LineChannel, token: CvToken,
                rng: np.random.Generator,
                noise: QubitChannel | None = None) -> dict:
     """Honest holder: measure per the challenge and report the bits.
-    Returns the verifier's final message (verdict or error)."""
-    chan.send(wire.hello_message(token.serial))
-    msg = chan.recv()
+    Returns the verifier's final message (verdict or error).  Each verifier
+    message must arrive whole within ``MESSAGE_DEADLINE_S`` and under its cap,
+    or :class:`wire.ProtocolError` is raised."""
+    hello = wire.hello_message(token.serial)
+    chan.send(hello)
+    cap = 4 * token.shape[0] + len(wire.serialize(hello)) + ANSWER_SLACK_BYTES
+    msg = chan.recv(cap, MESSAGE_DEADLINE_S)
     if msg is None:
         raise wire.ProtocolError("verifier hung up before challenging")
     if msg["type"] == "error":
@@ -314,7 +320,7 @@ def run_holder(chan: wire.LineChannel, token: CvToken,
     question = ChallengeQuestion(msg["question_id"], tuple(msg["axes"]))
     answer = honest_answer(token, question, noise, rng)
     chan.send(wire.answer_message(answer.question_id, answer.outcomes))
-    verdict = chan.recv()
+    verdict = chan.recv(HELLO_LINE_BYTES, MESSAGE_DEADLINE_S)
     if verdict is None:
         raise wire.ProtocolError("verifier hung up before the verdict")
     return verdict

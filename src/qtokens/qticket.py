@@ -70,15 +70,6 @@ def issue(n_qubits: int, rng: np.random.Generator) -> tuple[QticketSecret, Token
     return secret, token_from_secret(secret)
 
 
-def multicopy_issue(n_qubits: int, copies: int,
-                    rng: np.random.Generator) -> tuple[QticketSecret, list[Token]]:
-    """c identical tokens sharing one serial and one label draw."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    secret, first = issue(n_qubits, rng)
-    return secret, [first] + [token_from_secret(secret) for _ in range(copies - 1)]
-
-
 def token_from_secret(secret: QticketSecret) -> Token:
     return Token(secret.serial, PROJECTOR_STACK[secret.labels].copy())
 
@@ -147,8 +138,8 @@ def exact_honest_acceptance(fidelities: Sequence[float], f_tol) -> float:
     return _unit(math.fsum(dist[k_min:]))
 
 
-# rows of s (positions where exactly one copy passes) handled per numpy pass;
-# keeps working memory at O(block * (N - k)) however large N is
+# rows of M = N - T handled per numpy pass; keeps working memory at
+# O(block * (N - k)) however large N is
 _BLOCK_ROWS = 64
 
 
@@ -159,23 +150,36 @@ def _xlogp(x, p: float):
     return np.where(x > 0, -np.inf, 0.0)
 
 
-def double_acceptance_exact(n_qubits: int, f_tol, pair_dist) -> float:
-    """P[count_1 >= k and count_2 >= k] for two tokens whose positions share
-    iid four-way outcomes (both right, first only, second only, neither).
+def _log_tails(ms: np.ndarray, width: int, hit: float, miss: float,
+               lgam: np.ndarray) -> np.ndarray:
+    """log sum_{i >= j} hit^i miss^(M - i) / (i! (M - i)!): one row per M in
+    ``ms``, columns j = 0 .. width - 1."""
+    i = np.arange(width)
+    live = i <= ms[:, None]
+    rest = np.where(live, ms[:, None] - i, 0)
+    log_w = np.where(live, _xlogp(i, hit) + _xlogp(rest, miss) - lgam[i] - lgam[rest],
+                     -np.inf)
+    return np.logaddexp.accumulate(log_w[:, ::-1], axis=1)[:, ::-1]
 
-    With m = N - k, let d count the positions where both copies fail and
-    s those where exactly one passes; given s, the first copy's passes
-    among them are Bin(s, q) with q = p10 / (p10 + p01).  Both copies
-    accept iff that count lies in the window [s + d - m, m - d], so
 
-        P = sum_{d <= m, s + 2d <= 2m} Multi(N; N - s - d, s, d)
-                                       * P[s + d - m <= Bin(s, q) <= m - d].
+def double_acceptance_exact(n_qubits: int, f_tols, pair_dist) -> np.ndarray:
+    """P[count_1 >= k and count_2 >= k] for each threshold of ``f_tols``, in
+    order, for two tokens whose positions share iid four-way outcomes (both
+    right, first only, second only, neither).
 
-    For fixed s the windows are nested around s / 2, so they are built by
-    accumulating pmf pairs outward from the centre, with no differences of
-    tails.  The sum runs in log space over the (s, m - d) cells in blocks of
-    rows: O((N - k) * N) time and O(block * (N - k)) memory for every law,
-    including p00 > 0 and zero entries.
+    Both copies pass k exactly when T = c11 + min(c10, c01) >= k.  Given
+    T = N - M and j = min(c10, c01), c11 = N - M - j and the other M
+    positions hold the larger single-pass count i and c00 = M - i, so
+
+        P[T = N - M] = sum_{j <= min(M, N - M)} N! p11^c11 / (c11! j!)
+                       * [p10^j A_M(j, p01) + p01^j A_M(j + 1, p10)],
+        A_M(j, p) = sum_{i >= j} p^i p00^(M - i) / (i! (M - i)!),
+
+    the first term for c10 = j <= c01 = i and the second for c01 = j < c10 = i.
+    One reversed cumulative log-sum over T then answers every threshold.  Rows
+    of M run in blocks, each with its own tail rows: O((N - k)^2) time for the
+    smallest threshold k and O(block * (N - k)) memory, for every law,
+    including zero entries.
     """
     p11, p10, p01, p00 = (float(x) for x in pair_dist)
     probs = (p11, p10, p01, p00)
@@ -183,44 +187,31 @@ def double_acceptance_exact(n_qubits: int, f_tol, pair_dist) -> float:
         raise ValueError(f"pair distribution invalid: {probs}")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    k_min = threshold_count(f_tol, n_qubits)
-    if k_min > n_qubits:
-        return 0.0
-    if k_min <= 0:
-        return 1.0
+    n = n_qubits
+    ks = np.array([threshold_count(f, n) for f in f_tols], dtype=np.int64)
+    out = np.where(ks <= 0, 1.0, 0.0)
+    live = (ks > 0) & (ks <= n)
+    if not live.any():
+        return out
     p11, p10, p01, p00 = (max(0.0, p) for p in probs)
-    n, m = n_qubits, n_qubits - k_min
+    m = n - int(ks[live].min())
     lgam = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    s_top = min(2 * m, n)
-    peaks, sums = [], []
-    for s0 in range(0, s_top + 1, _BLOCK_ROWS):
-        s = np.arange(s0, min(s0 + _BLOCK_ROWS, s_top + 1))[:, None]
-        h = np.arange(s0 // 2, m + 1)     # upper end m - d of the window
-        c = s - h                         # lower end of the window
-        live = (c >= 0) & (2 * h >= s)
-        c = np.where(live, c, 0)
-        # p10^b p01^(s-b) / (b! (s-b)!) at b = h and at b = s - h: the
-        # binomial pmf of the window ends times (p10 + p01)^s / s!
-        log_fact = lgam[h] + lgam[c]
-        upper = np.where(live, _xlogp(h, p10) + _xlogp(c, p01) - log_fact, -np.inf)
-        lower = np.where(live & (2 * h > s),
-                         _xlogp(c, p10) + _xlogp(h, p01) - log_fact, -np.inf)
-        log_window = np.logaddexp.accumulate(np.logaddexp(upper, lower), axis=1)
-        d = m - h
-        a = n - s - d
-        a_ok = np.maximum(a, 0)
-        log_term = np.where(a >= 0,
-                            lgam[n] - lgam[a_ok] - lgam[d] + _xlogp(a_ok, p11)
-                            + _xlogp(d, p00) + log_window, -np.inf)
-        peak = log_term.max()
-        if peak > -np.inf:
-            peaks.append(peak)
-            sums.append(np.exp(log_term - peak).sum())
-    if not peaks:
-        return 0.0
-    top = max(peaks)
-    return _unit(math.exp(top) * math.fsum(w * math.exp(p - top)
-                                           for p, w in zip(peaks, sums)))
+    log_pt = np.empty(m + 1)          # log P[T = N - M] for M = 0 .. m
+    for m0 in range(0, m + 1, _BLOCK_ROWS):
+        ms = np.arange(m0, min(m0 + _BLOCK_ROWS, m + 1))
+        width = int(ms[-1]) + 2
+        tail_a = _log_tails(ms, width, p01, p00, lgam)[:, :-1]   # c01 >= j
+        tail_b = _log_tails(ms, width, p10, p00, lgam)[:, 1:]    # c10 >= j + 1
+        j = np.arange(width - 1)
+        ok = j <= np.minimum(ms, n - ms)[:, None]
+        c11 = np.where(ok, n - ms[:, None] - j, 0)
+        log_term = np.where(ok, lgam[n] - lgam[c11] - lgam[j] + _xlogp(c11, p11)
+                            + np.logaddexp(_xlogp(j, p10) + tail_a,
+                                           _xlogp(j, p01) + tail_b), -np.inf)
+        log_pt[ms] = np.logaddexp.reduce(log_term, axis=1)
+    log_survival = np.logaddexp.accumulate(log_pt)    # log P[T >= N - M]
+    out[live] = [_unit(p) for p in np.exp(log_survival[n - ks[live]])]
+    return out
 
 
 def redeem(store: SecretStore, token: Token,

@@ -66,11 +66,6 @@ class LineChannel:
         self._buffer = b""
 
     @classmethod
-    def pair(cls) -> tuple["LineChannel", "LineChannel"]:
-        a, b = socket.socketpair()
-        return cls(a), cls(b)
-
-    @classmethod
     def connect(cls, host: str, port: int, timeout: float = 10.0) -> "LineChannel":
         return cls(socket.create_connection((host, port), timeout=timeout))
 

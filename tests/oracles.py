@@ -25,12 +25,14 @@ strategy map into a ``CorrelatedPair``, whose four-way outcome law is
 rebuilt from np.kron operators rather than taken from the package, and
 ``verify_half`` measures one ``CounterfeitHalf`` with the checks
 ``qticket.verify`` makes.  ``verifier_session`` serves challenge-response
-rounds on one open channel until the holder hangs up.
+rounds on one open channel until the holder hangs up; ``channel_pair`` gives
+the two connected ends of a socketpair as line channels.
 """
 from __future__ import annotations
 
 import functools
 import math
+import socket
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -47,6 +49,7 @@ from qtokens.core import Token, TokenConsumedError
 from qtokens.qticket import VerificationOutcome, token_from_secret, verify
 from qtokens.rational import threshold_count
 from qtokens.store import SecretStore, UnknownSerialError
+from qtokens.wire import LineChannel
 
 mpmath.mp.dps = 60
 
@@ -782,6 +785,11 @@ def sequential_attack(driver: str, secret, v: int, f_tol, rng) -> list:
         transcript.append(outcome)
         history.append(outcome.accepted)
     return transcript
+
+
+def channel_pair() -> tuple[LineChannel, LineChannel]:
+    a, b = socket.socketpair()
+    return LineChannel(a), LineChannel(b)
 
 
 def verifier_session(secret, layout, policy: str, chan,

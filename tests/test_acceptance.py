@@ -120,8 +120,8 @@ def test_03_double_acceptance_sweep(tmp_path):
     # the curve family steepens into a step at 5/6 as N grows
     dist = mixture_outcome_distribution(PAIR_STRATEGIES["universal-cloner"])
     lo, hi = Fraction(5, 6) - Fraction(1, 50), Fraction(5, 6) + Fraction(1, 50)
-    gaps = [double_acceptance_exact(n, lo, dist)
-            - double_acceptance_exact(n, hi, dist) for n in sizes]
+    gaps = [p_lo - p_hi for p_lo, p_hi in
+            (double_acceptance_exact(n, [lo, hi], dist) for n in sizes)]
     if not gaps[0] < gaps[1] < gaps[2]:
         failures.append(f"step gaps not increasing: {gaps}")
     elapsed = time.perf_counter() - t0

@@ -140,7 +140,7 @@ def test_object_level_double_acceptance_matches_mixture_law(rng):
     # the label-averaged law, which double_acceptance_exact integrates exactly
     n, f_tol, trials = 40, Fraction(3, 4), 2500
     for strat in (UNIVERSAL_CLONER, MEASURE_REPREPARE_Z, INTERMEDIATE_BASIS):
-        p = double_acceptance_exact(n, f_tol, mixture_outcome_distribution(strat))
+        (p,) = double_acceptance_exact(n, [f_tol], mixture_outcome_distribution(strat))
         hits = 0
         for _ in range(trials):
             secret, token = issue(n, rng)
@@ -179,8 +179,7 @@ def test_double_accept_mc_agrees_with_exact(rng):
     dist = mixture_outcome_distribution(UNIVERSAL_CLONER)
     hits = double_accept_mc(n, grid, dist, trials, rng)
     assert hits.shape == (len(grid),)
-    for f_tol, h in zip(grid, hits):
-        p = double_acceptance_exact(n, f_tol, dist)
+    for f_tol, h, p in zip(grid, hits, double_acceptance_exact(n, grid, dist)):
         sigma = math.sqrt(p * (1.0 - p) * trials)
         assert abs(h - p * trials) < 4.0 * sigma, (f_tol, h, p * trials)
 

@@ -93,7 +93,7 @@ def test_sweep_row_columns_match_library():
     f_tol, n, exact, p_hat, stderr = row.split(",")
     assert f_tol == "3/4" and n == "24"
     dist = mixture_outcome_distribution(PAIR_STRATEGIES["universal-cloner"])
-    expect = double_acceptance_exact(24, Fraction(3, 4), dist)
+    (expect,) = double_acceptance_exact(24, [Fraction(3, 4)], dist)
     assert float(exact) == expect
     sigma = (expect * (1 - expect) / config.trials) ** 0.5
     assert abs(float(p_hat) - expect) < 4 * sigma
@@ -680,7 +680,7 @@ def test_unseeded_verifiers_refuse_a_replayed_answer(tmp_path, monkeypatch):
         # built as cv-demo --listen builds its verifier without --seed
         verifier = CvVerifier(SecretStore(args.store), cli._seeded(args),
                               question_policy=args.policy)
-        vchan, hchan = wire.LineChannel.pair()
+        vchan, hchan = O.channel_pair()
         thread = threading.Thread(target=verifier.serve_one, args=(vchan,), daemon=True)
         thread.start()
         with vchan, hchan:

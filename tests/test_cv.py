@@ -239,7 +239,7 @@ def _spawned_verifier(serve):
     the holder end and a list that receives what ``serve`` returns.  The
     verifier end closes when ``serve`` returns or raises, so a failing
     verifier hangs no holder; the holder end closes on exit."""
-    vchan, hchan = wire.LineChannel.pair()
+    vchan, hchan = O.channel_pair()
     result: list = []
 
     def run():
@@ -507,7 +507,7 @@ def test_stored_pair_with_unknown_label_is_refused_before_any_session(tmp_path, 
 def test_wire_non_string_serial_is_protocol_error(rng, serial):
     layout, secret, token, store, verifier = _fresh_setup(rng)
     attempts = store.get(secret.serial)["attempts"]
-    vchan, hchan = wire.LineChannel.pair()
+    vchan, hchan = O.channel_pair()
     with vchan, hchan:
         hchan.send(wire.hello_message(serial))
         sent = verifier.serve_one(vchan)
@@ -584,6 +584,16 @@ def test_run_holder_surfaces_errors(rng):
     assert msg["type"] == "error" and msg["code"] == "unknown-serial"
 
 
+def test_run_holder_reads_an_error_that_echoes_a_long_serial(rng):
+    # the unknown-serial error is longer than any challenge of this layout
+    layout = CvLayout(2, 4, Fraction(1, 2))
+    token = CvToken("s" * 2000, cv_issue(layout, rng)[1].qubits)
+    _, _, _, _, verifier = _fresh_setup(rng)
+    with _spawned_verifier(verifier.serve_one) as (hchan, _):
+        msg = run_holder(hchan, token, rng)
+    assert msg == wire.error_message("unknown-serial", token.serial)
+
+
 class _HangUpAfterAnswer(wire.LineChannel):
     """Verifier end whose challenge makes the holder send a perfect answer
     and close its own end at once, before the verdict goes out."""
@@ -651,7 +661,7 @@ def test_slow_holder_times_out_within_the_message_deadline(rng, monkeypatch,
             hchan._sock.sendall(b"x")
 
     thread = threading.Thread(target=trickle, daemon=True)
-    vchan, hchan = wire.LineChannel.pair()
+    vchan, hchan = O.channel_pair()
     with vchan, hchan:
         if holder != "mute":
             hchan.send(wire.hello_message(secret.serial))
@@ -666,6 +676,53 @@ def test_slow_holder_times_out_within_the_message_deadline(rng, monkeypatch,
     assert final == wire.error_message("protocol-error", "timeout")
     assert elapsed < 2 * deadline
     assert store.get(secret.serial)["attempts"] == attempts
+
+
+def _timed_holder(token, rng, serve):
+    """Seconds until ``run_holder`` raises against ``serve`` over a socketpair."""
+    with _spawned_verifier(serve) as (hchan, _):
+        start = time.monotonic()
+        with pytest.raises(wire.ProtocolError) as err:
+            run_holder(hchan, token, rng)
+        return time.monotonic() - start, str(err.value)
+
+
+def test_holder_times_out_on_a_trickling_verifier(rng, monkeypatch):
+    # the verifier sends its challenge one byte every 50 ms
+    deadline = 0.3
+    monkeypatch.setattr(cv, "MESSAGE_DEADLINE_S", deadline)
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    line = wire.serialize(wire.challenge_message("0" * 16, ["Z"] * layout.n_blocks))
+
+    def trickle(vchan):
+        vchan.recv()
+        for byte in line:
+            time.sleep(0.05)
+            try:
+                vchan._sock.sendall(bytes([byte]))
+            except OSError:             # the holder gave up and hung up
+                return
+
+    elapsed, reason = _timed_holder(token, rng, trickle)
+    assert reason == "timeout" and elapsed < 2 * deadline
+
+
+def test_holder_refuses_an_oversized_challenge(rng, monkeypatch):
+    # a well-formed challenge whose question id alone is 64 KiB
+    deadline = 0.3
+    monkeypatch.setattr(cv, "MESSAGE_DEADLINE_S", deadline)
+    layout, secret, token, store, verifier = _fresh_setup(rng)
+    challenge = wire.challenge_message("0" * 65536, ["Z"] * layout.n_blocks)
+
+    def serve(vchan):
+        vchan.recv()
+        with contextlib.suppress(OSError, wire.ProtocolError):
+            vchan.send(challenge)
+            vchan.recv()
+            vchan.send(wire.verdict_message(True))
+
+    elapsed, reason = _timed_holder(token, rng, serve)
+    assert reason == "message exceeds line limit" and elapsed < 2 * deadline
 
 
 # -- the verifier's two steps, without a channel -----------------------------------

@@ -1,5 +1,6 @@
 """Measured tokens: issuance, verification, exact acceptance oracles."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,7 @@ from qtokens.channels import depolarizing, depolarizing_for_fidelity
 from qtokens.core import LABELS, PROJECTOR_STACK, Token, TokenConsumedError
 from qtokens.qticket import (QticketSecret, VerificationOutcome, degrade,
                              double_acceptance_exact, exact_honest_acceptance,
-                             issue, multicopy_issue, redeem, token_from_secret,
-                             verify)
+                             issue, redeem, token_from_secret, verify)
 from qtokens.store import SecretStore, UnknownSerialError, read_token, write_token
 
 import oracles as O
@@ -232,32 +232,33 @@ def test_honest_acceptance_mc_agrees_with_exact(rng):
 
 def test_double_acceptance_cloner_small_values():
     # one qubit, threshold 1: joint success is exactly p11 = 2/3
-    got1 = double_acceptance_exact(1, 1, O.CLONER_DIST)
+    (got1,) = double_acceptance_exact(1, [1], O.CLONER_DIST)
     assert abs(got1 - 2.0 / 3.0) < 1e-15
-    got2 = double_acceptance_exact(2, 1, O.CLONER_DIST)
+    (got2,) = double_acceptance_exact(2, [1], O.CLONER_DIST)
     assert abs(got2 - 4.0 / 9.0) < 1e-14
 
 
 def test_double_acceptance_vs_exhaustive_enumeration():
     for n in (3, 5, 8, 10):
-        for k in (n // 2, n - 1, n):
-            for dist in (O.CLONER_DIST, O.MRZ_MIXTURE):
-                got = double_acceptance_exact(n, Fraction(k, n), dist)
+        ks = (n // 2, n - 1, n)
+        for dist in (O.CLONER_DIST, O.MRZ_MIXTURE):
+            got = double_acceptance_exact(n, [Fraction(k, n) for k in ks], dist)
+            for k, g in zip(ks, got):
                 want = float(O.frac_double_accept(n, dist, k))
-                assert abs(got - want) < 1e-13 * max(want, 1e-30)
+                assert abs(g - want) < 1e-13 * max(want, 1e-30)
 
 
 def test_double_acceptance_vs_conditional_factorization():
     for n, f_tol in ((200, Fraction(4, 5)), (1000, Fraction(3, 4)),
                      (1000, Fraction(9, 10))):
-        got = double_acceptance_exact(n, f_tol, O.CLONER_DIST)
+        (got,) = double_acceptance_exact(n, [f_tol], O.CLONER_DIST)
         want = O.cloner_double_accept(n, math.ceil(f_tol * n))
         assert abs(got - want) < 1e-10 * max(want, 1e-25)
 
 
 def test_double_acceptance_monotone_in_threshold():
-    vals = [double_acceptance_exact(200, Fraction(k, 100), O.CLONER_DIST)
-            for k in range(70, 96)]
+    vals = double_acceptance_exact(200, [Fraction(k, 100) for k in range(70, 96)],
+                                   O.CLONER_DIST)
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -265,7 +266,8 @@ def test_cloner_marginal_is_binomial_tail():
     # marginal per-position success is 2/3 + 1/6 = 5/6 exactly
     for n, f_tol in ((100, Fraction(3, 4)), (500, Fraction(9, 10))):
         k = math.ceil(f_tol * n)
-        single = double_acceptance_exact(n, f_tol, (Fraction(5, 6), Fraction(1, 6), 0, 0))
+        (single,) = double_acceptance_exact(n, [f_tol],
+                                            (Fraction(5, 6), Fraction(1, 6), 0, 0))
         # a dist with p01 = p00 = 0 makes the second count always n
         assert abs(single - O.binom_tail_ge(n, 5.0 / 6.0, k)) < 1e-12 * max(single, 1e-30)
 
@@ -273,26 +275,24 @@ def test_cloner_marginal_is_binomial_tail():
 GRID = tuple(Fraction(j, 100) for j in range(70, 96))
 
 
-def _assert_matches_lattice(n, f_tol, dist):
-    got = double_acceptance_exact(n, f_tol, dist)
-    want = O.lattice_double_accept(n, math.ceil(f_tol * n), dist)
-    assert abs(got - want) <= 1e-10 * want, (n, f_tol, dist, got, want)
+def _assert_matches_lattice(n, f_tols, dist):
+    for f_tol, got in zip(f_tols, double_acceptance_exact(n, f_tols, dist)):
+        want = O.lattice_double_accept(n, math.ceil(f_tol * n), dist)
+        assert abs(got - want) <= 1e-10 * want, (n, f_tol, dist, got, want)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_STRATEGIES))
 def test_double_acceptance_matches_lattice_for_mixture_laws(name):
     dist = mixture_outcome_distribution(PAIR_STRATEGIES[name])
     for n in (60, 300):
-        for f_tol in GRID:
-            _assert_matches_lattice(n, f_tol, dist)
+        _assert_matches_lattice(n, GRID, dist)
 
 
 def test_double_acceptance_matches_lattice_off_centre():
     # q = p10 / (p10 + p01) = 6/7: the binomial window sits far from the mode
     dist = (0.6, 0.3, 0.05, 0.05)
     for n in (200, 400):
-        for f_tol in (Fraction(j, 100) for j in range(50, 96)):
-            _assert_matches_lattice(n, f_tol, dist)
+        _assert_matches_lattice(n, [Fraction(j, 100) for j in range(50, 96)], dist)
 
 
 @st.composite
@@ -305,28 +305,64 @@ def _rational_laws(draw):
 @given(_rational_laws(), st.integers(1, 10), st.data())
 def test_double_acceptance_rational_laws_with_zero_entries(dist, n, data):
     k = data.draw(st.integers(0, n))
-    got = double_acceptance_exact(n, Fraction(k, n), dist)
+    (got,) = double_acceptance_exact(n, [Fraction(k, n)], dist)
     want = float(O.frac_double_accept(n, dist, k))
     assert abs(got - want) <= 1e-12 * want
+
+
+@given(_rational_laws(), st.integers(1, 10), st.data())
+def test_double_acceptance_answers_unsorted_thresholds_in_one_call(dist, n, data):
+    # duplicates, 0 and 1 among the thresholds, in the order drawn
+    inner = st.integers(0, n).map(lambda k: Fraction(k, n))
+    f_tols = data.draw(st.lists(inner, min_size=1, max_size=2 * n + 2)
+                       .map(lambda fs: fs + [Fraction(0), Fraction(1), fs[0]])
+                       .flatmap(st.permutations))
+    got = double_acceptance_exact(n, f_tols, dist)
+    assert got.dtype == np.float64 and got.shape == (len(f_tols),)
+    for f_tol, g in zip(f_tols, got):
+        want = float(O.frac_double_accept(n, dist, math.ceil(f_tol * n)))
+        assert abs(g - want) <= 1e-12 * want, (f_tol, g, want)
+    ordered = double_acceptance_exact(n, sorted(f_tols), dist)
+    assert (np.diff(ordered) <= 0.0).all()
 
 
 def test_double_acceptance_continuous_as_p00_vanishes():
     exact_zero = (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6), 0)
     tiny = (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0, 1e-17)
-    for f_tol in GRID:
-        a = double_acceptance_exact(1000, f_tol, exact_zero)
-        b = double_acceptance_exact(1000, f_tol, tiny)
-        assert a > 0.0 and abs(a - b) <= 1e-12 * a
+    a = double_acceptance_exact(1000, GRID, exact_zero)
+    b = double_acceptance_exact(1000, GRID, tiny)
+    assert (a > 0.0).all() and (abs(a - b) <= 1e-12 * a).all()
+
+
+def test_double_acceptance_works_in_row_blocks():
+    # N = 4000 at 7/10 spans 1201 x 1201 (M, j) cells, 11 MiB per float64
+    # array over the whole grid; row blocks keep the peak far below that
+    dist = mixture_outcome_distribution(PAIR_STRATEGIES["measure-reprepare-z"])
+    tracemalloc.start()
+    try:
+        (p,) = double_acceptance_exact(4000, [Fraction(7, 10)], dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < p < 1e-6 and peak < 16 * 2**20
 
 
 def test_double_acceptance_validates_distribution():
     with pytest.raises(ValueError):
-        double_acceptance_exact(5, Fraction(1, 2), (0.5, 0.5, 0.5, -0.5))
+        double_acceptance_exact(5, [Fraction(1, 2)], (0.5, 0.5, 0.5, -0.5))
     with pytest.raises(ValueError):
-        double_acceptance_exact(0, Fraction(1, 2), O.CLONER_DIST)
+        double_acceptance_exact(0, [Fraction(1, 2)], O.CLONER_DIST)
 
 
 # -- multicopy issuance and store-backed redemption ---------------------------
+
+def multicopy_issue(n_qubits: int, copies: int, rng: np.random.Generator):
+    """c identical tokens sharing one serial and one label draw."""
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    secret, first = issue(n_qubits, rng)
+    return secret, [first] + [token_from_secret(secret) for _ in range(copies - 1)]
+
 
 def test_multicopy_issue_shares_serial_and_states(rng):
     secret, tokens = multicopy_issue(24, 3, rng)

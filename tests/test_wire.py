@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from qtokens import wire
 
+import oracles as O
+
 
 def test_serialize_is_canonical():
     msg = {"type": "hello", "serial": "abc", "v": 2}
@@ -193,7 +195,7 @@ def test_error_message_validates_codes():
 
 
 def test_line_channel_round_trip():
-    a, b = wire.LineChannel.pair()
+    a, b = O.channel_pair()
     with a, b:
         a.send(wire.hello_message("s1"))
         a.send(wire.verdict_message(False, "below-threshold"))
@@ -202,14 +204,14 @@ def test_line_channel_round_trip():
 
 
 def test_line_channel_clean_eof_returns_none():
-    a, b = wire.LineChannel.pair()
+    a, b = O.channel_pair()
     with b:
         a.close()
         assert b.recv() is None
 
 
 def test_line_channel_mid_message_eof_raises():
-    a, b = wire.LineChannel.pair()
+    a, b = O.channel_pair()
     with b:
         a._sock.sendall(b'{"type":"hello"')   # no newline, then hang up
         a.close()
@@ -240,7 +242,7 @@ def test_line_channel_reassembles_one_byte_chunks():
 
 
 def test_line_channel_keeps_lines_that_share_a_chunk():
-    a, b = wire.LineChannel.pair()
+    a, b = O.channel_pair()
     with a, b:
         a._sock.sendall(b'{"type":"hello"}\n{"type":"verdict"}\n{"type":"er')
         a._sock.sendall(b'ror"}\n')
@@ -262,7 +264,7 @@ def test_line_channel_over_limit_line_raises():
 def test_line_channel_limit_counts_the_chunk_that_holds_the_newline():
     # each line arrives in one piece, so its newline sits in the chunk that
     # crosses the limit
-    a, b = wire.LineChannel.pair()
+    a, b = O.channel_pair()
     with a, b:
         at_limit = b'{"type":"hello","pad":"' + b"x" * 4071 + b'"}'
         assert len(at_limit) == 4096
@@ -286,7 +288,7 @@ def test_message_type_registry():
 
 
 def test_line_channel_timeout_puts_the_socket_timeout_back():
-    a, b = wire.LineChannel.pair()
+    a, b = O.channel_pair()
     with a, b:
         b._sock.settimeout(10.0)
         with pytest.raises(wire.ProtocolError, match="^timeout$"):
